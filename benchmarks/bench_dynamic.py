@@ -1,9 +1,10 @@
 """Turnstile throughput and accuracy across a deletion-ratio sweep.
 
 The deletion-capable estimators (TRIÈST-FD and the vertex-subsampled
-dynamic sampler) pay for turnstile support with per-event bookkeeping
-that the insert-only vectorized engines never touch. This benchmark
-pins down what that costs and what it buys:
+dynamic sampler) pay for turnstile support with per-event reservoir
+decisions that the insert-only vectorized engines never make; their
+triangle upkeep runs once per batch, over the sample's net change.
+This benchmark pins down what that costs and what it buys:
 
 - **throughput** (Medges/s, events = inserts + deletes) for each
   estimator at deletion ratios 0 / 0.2 / 0.4 over the same synthetic
@@ -11,7 +12,10 @@ pins down what that costs and what it buys:
 - **accuracy** (relative error of the triangle estimate against an
   exact recount of the *final* graph) at each ratio, since deletions
   are precisely what shrinks TRIÈST-FD's effective sample and the
-  dynamic sampler's subgraph.
+  dynamic sampler's subgraph;
+- a **batch-size leg**: each estimator over one stream at w=64 and
+  w=65,536, which must end in identical states (per-batch upkeep is a
+  pure speedup) and shows what small batches still cost.
 
 Results merge into ``BENCH_throughput.json`` under the ``dynamic`` key
 so the CI gate (``check_throughput_regression.py``) can hold the
@@ -42,6 +46,7 @@ NUM_ESTIMATORS = 4
 DELETE_RATIOS = (0.0, 0.2, 0.4)
 OPTIONS = {"triest-fd": {"memory": 4_096}, "dynamic-sampler": {"p": 0.5}}
 TRIALS = 3
+BATCH_LEG_SIZES = (64, 65_536)
 
 ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -138,6 +143,45 @@ def measure_dynamic(
     }
 
 
+def same_state(a, b) -> bool:
+    """Deep equality of two ``state_dict`` snapshots, arrays included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_state, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def measure_batch_legs(
+    *, n_events: int = N_EVENTS, trials: int = TRIALS, seed: int = 0, ratio: float = 0.2
+) -> dict:
+    """Best-of-``trials`` throughput per batch size, and whether the
+    sizes agree on every estimator's final state."""
+    events, _ = turnstile_stream(n_events, N_VERTICES, ratio, seed=seed)
+    legs = {}
+    for name, options in OPTIONS.items():
+        row, states = {}, []
+        for size in BATCH_LEG_SIZES:
+            batches = list(EdgeBatch.from_edges(events).batches(size))
+            times = []
+            for _ in range(trials):
+                est = ESTIMATORS.get(name).create(NUM_ESTIMATORS, seed, **options)
+                t0 = time.perf_counter()
+                for batch in batches:
+                    est.update_batch(batch)
+                times.append(time.perf_counter() - t0)
+            states.append(est.state_dict())
+            row[f"batch={size}"] = {
+                "seconds": round(min(times), 4),
+                "medges_per_s": round(n_events / min(times) / 1e6, 3),
+            }
+        row["identical_state"] = same_state(*states)
+        legs[name] = row
+    return {"delete_ratio": ratio, "legs": legs}
+
+
 def _write_artifact(result: dict) -> None:
     """Merge the turnstile numbers into the shared throughput artifact."""
     data = {}
@@ -150,7 +194,14 @@ def _write_artifact(result: dict) -> None:
 @pytest.fixture(scope="module")
 def dynamic():
     result = measure_dynamic()
+    result["batch_legs"] = measure_batch_legs()
     _write_artifact(result)
+    for name, row in result["batch_legs"]["legs"].items():
+        speeds = ", ".join(
+            f"w={size}: {row[f'batch={size}']['medges_per_s']:.3f}"
+            for size in BATCH_LEG_SIZES
+        )
+        print(f"\n[dynamic] {name} batch legs (Medges/s): {speeds}")
     for ratio, leg in result["sweep"].items():
         for name, row in leg["estimators"].items():
             print(
@@ -184,3 +235,9 @@ def test_insert_only_ratio_matches_triest_exactly(dynamic):
     # memory 4096 < 60k inserts, so not exact -- but the reservoir
     # correction should still land close on a dense random graph.
     assert row["rel_error"] < 0.5
+
+
+def test_small_and_large_batches_end_in_identical_states(dynamic):
+    """Per-batch triangle upkeep must not depend on where batches cut."""
+    for name, row in dynamic["batch_legs"]["legs"].items():
+        assert row["identical_state"], name

@@ -31,19 +31,34 @@ class ExactStreamingCounter:
     def update(self, edge: tuple[int, int]) -> None:
         """Insert one stream edge and update all counts incrementally."""
         u, v = canonical_edge(*edge)
-        a = self._adj.get(u)
-        b = self._adj.get(v)
-        if a is not None and b is not None:
-            small, large = (a, b) if len(a) <= len(b) else (b, a)
-            self.triangles += sum(1 for w in small if w in large)
-        self.wedges += (len(a) if a else 0) + (len(b) if b else 0)
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
+        a = self._adj.setdefault(u, set())
+        b = self._adj.setdefault(v, set())
+        self.triangles += len(a & b)
+        self.wedges += len(a) + len(b)
+        a.add(v)
+        b.add(u)
         self.edges_seen += 1
 
     def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
-        for edge in batch:
-            self.update(edge)
+        """Insert a batch; :class:`EdgeBatch` rows are already canonical."""
+        from ..streaming.batch import EdgeBatch
+
+        if not isinstance(batch, EdgeBatch):
+            for edge in batch:
+                self.update(edge)
+            return
+        adj = self._adj
+        triangles = wedges = 0
+        for u, v in batch.array.tolist():
+            a = adj.setdefault(u, set())
+            b = adj.setdefault(v, set())
+            triangles += len(a & b)
+            wedges += len(a) + len(b)
+            a.add(v)
+            b.add(u)
+        self.triangles += triangles
+        self.wedges += wedges
+        self.edges_seen += len(batch)
 
     def estimate(self) -> float:
         """The exact triangle count (named for API compatibility)."""

@@ -17,10 +17,14 @@ coefficients -- which is also what makes checkpoint/resume and sharded
 replicas trivially bit-stable.
 
 The hash is the classic multiply-shift ``h(v) = (a*v + b) mod 2^64``
-with ``a`` odd; ``v`` survives when ``h(v) < p * 2^64``. Batches
-prefilter both endpoint columns in one vectorized pass (uint64
-arithmetic wraps mod ``2^64`` natively), so at small ``p`` almost all
-events die before the per-edge loop.
+with ``a`` odd; ``v`` survives when ``h(v) < p * 2^64``. Membership is
+also set-semantic, so only the last event of each edge in a batch
+matters: a batch is reduced to its distinct edges' final signs once,
+the whole pool's hash runs as one broadcast over the batch's vertices,
+and each sampler applies its kept edges' net change in one step
+(:func:`~repro.core.triest_fd.apply_sample_delta`). ``tau`` is the
+triangle count of the sampled edge set, a function of the set alone,
+so this per-batch upkeep is bit-identical to per-event updates.
 
 ``p = 1.0`` keeps every vertex and makes the estimator exact -- the
 deterministic hook the tests pin against.
@@ -29,15 +33,18 @@ deterministic hook the tests pin against.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress, repeat
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 from ..rng import RandomSource, spawn_sources
+from .triest_fd import apply_sample_delta
 
 __all__ = ["DynamicGraphSampler", "DynamicSamplerCounter"]
 
 _WORD = 1 << 64
+_BROADCAST_CELLS = 1 << 20  # samplers x kept edges per prefilter chunk
 
 
 class DynamicGraphSampler:
@@ -75,78 +82,27 @@ class DynamicGraphSampler:
         """Whether the hash retains ``vertex`` (deterministic)."""
         return (self.a * vertex + self.b) % _WORD < self._threshold
 
-    def _keep_mask(self, column: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`keeps` over an int64 vertex column."""
-        if self._threshold >= _WORD:
-            return np.ones(len(column), dtype=bool)
-        hashed = (
-            np.uint64(self.a % _WORD) * column.astype(np.uint64)
-            + np.uint64(self.b)
-        )
-        return hashed < np.uint64(self._threshold)
+    def update_final(self, events: int, net: int, final) -> None:
+        """Observe a batch reduced to its kept edges' final signs.
 
-    def _shared(self, u: int, v: int) -> int:
-        nu = self._adj.get(u)
-        nv = self._adj.get(v)
-        if not nu or not nv:
-            return 0
-        if len(nv) < len(nu):
-            nu, nv = nv, nu
-        return sum(1 for w in nu if w in nv)
-
-    def update(self, u: int, v: int, sign: int = 1) -> None:
-        """Observe one signed stream event (``u < v`` canonical)."""
-        self.t += 1
-        self.s += 1 if sign >= 0 else -1
-        if not (self.keeps(u) and self.keeps(v)):
-            return
-        self._apply(u, v, sign)
-
-    def _apply(self, u: int, v: int, sign: int) -> None:
-        """Apply an event whose endpoints already passed the hash."""
-        edge = (u, v)
-        if sign >= 0:
-            if edge in self._edges:
-                return  # duplicate insert: idempotent
-            self.tau += self._shared(u, v)
-            self._edges.add(edge)
-            self._adj.setdefault(u, set()).add(v)
-            self._adj.setdefault(v, set()).add(u)
-        else:
-            if edge not in self._edges:
-                return  # deletion of an unsampled (or absent) edge
-            self._edges.discard(edge)
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
-            if not self._adj[u]:
-                del self._adj[u]
-            if not self._adj[v]:
-                del self._adj[v]
-            self.tau -= self._shared(u, v)
-
-    def update_columns(
-        self, array: np.ndarray, signs: np.ndarray | None
-    ) -> None:
-        """Observe a whole edge block, prefiltering by the hash."""
-        rows = len(array)
-        if rows == 0:
-            return
-        self.t += rows
-        if signs is None:
-            self.s += rows
-        else:
-            self.s += int(signs.astype(np.int64).sum())
-        mask = self._keep_mask(array[:, 0]) & self._keep_mask(array[:, 1])
-        if not mask.any():
-            return
-        kept = array[mask].tolist()
-        kept_signs = None if signs is None else signs[mask].tolist()
-        if kept_signs is None:
-            for u, v in kept:
-                self._apply(u, v, 1)
-        else:
-            for (u, v), sign in zip(kept, kept_signs):
-                self._apply(u, v, sign)
+        ``events`` and ``net`` are the whole batch's event count and
+        sign sum; ``final`` yields ``((u, v), sign)`` for each distinct
+        kept edge with the sign of its last event in the batch.
+        Membership is set-semantic, so the last event alone decides it.
+        """
+        self.t += events
+        self.s += net
+        edges = self._edges
+        removed, added = [], []
+        for edge, sign in final:
+            if sign < 0:
+                if edge in edges:
+                    removed.append(edge)
+            elif edge not in edges:
+                added.append(edge)
+        edges.difference_update(removed)
+        edges.update(added)
+        self.tau += apply_sample_delta(self._adj, removed, added)
 
     def triangle_estimate(self) -> float:
         """``tau / p^3``: unbiased for the current graph's triangles."""
@@ -215,17 +171,36 @@ class DynamicSamplerCounter:
     def update_batch(self, batch: Sequence) -> None:
         """Observe one batch, signed or plain.
 
-        ``EdgeBatch`` inputs go through the vectorized hash prefilter;
-        plain sequences accept ``(u, v)`` pairs and ``(u, v, sign)``
-        triples.
+        Plain sequences of ``(u, v)`` pairs or ``(u, v, sign)`` triples
+        are validated into an :class:`~repro.streaming.batch.EdgeBatch`
+        first. The batch is reduced to each distinct edge's last event
+        once, then the whole pool's hash prefilter runs as one
+        (pool x vertices) broadcast.
         """
-        from ..streaming.batch import EdgeBatch
+        from ..streaming.batch import VERTEX_LIMIT, EdgeBatch
 
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch.from_edges(batch)
-        for sampler in self._samplers:
-            sampler.update_columns(batch.array, batch.signs)
-        self.edges_seen += len(batch)
+        events = len(batch)
+        if events:
+            array, signs = batch.array, batch.signs
+            net = events if signs is None else int(signs.sum(dtype=np.int64))
+            keys = array[::-1, 0] * VERTEX_LIMIT + array[::-1, 1]
+            last = events - 1 - np.unique(keys, return_index=True)[1]
+            edges = array[last]
+            final = list(zip(
+                map(tuple, edges.tolist()),
+                repeat(1) if signs is None else signs[last].tolist(),
+            ))
+            verts, inverse = np.unique(edges, return_inverse=True)
+            pairs = inverse.reshape(-1, 2)
+            step = max(1, _BROADCAST_CELLS // len(final))  # bounds the matrices
+            for lo in range(0, len(self._samplers), step):
+                chunk = self._samplers[lo : lo + step]
+                keep = _keep_matrix(chunk, verts)[:, pairs].all(axis=2)
+                for sampler, mask in zip(chunk, keep.tolist()):
+                    sampler.update_final(events, net, compress(final, mask))
+        self.edges_seen += events
 
     def state_dict(self) -> dict:
         """Snapshot: every sampler, in pool order."""
@@ -273,3 +248,20 @@ class DynamicSamplerCounter:
     def net_edges(self) -> int:
         """The evolving graph's net edge count (inserts minus deletes)."""
         return self._samplers[0].s
+
+
+def _keep_matrix(samplers, verts: np.ndarray) -> np.ndarray:
+    """Each sampler's :meth:`~DynamicGraphSampler.keeps` over ``verts``.
+
+    One ``(len(samplers), len(verts))`` multiply-shift broadcast; uint64
+    arithmetic wraps mod ``2^64`` natively.
+    """
+    a = np.array([s.a for s in samplers], dtype=np.uint64)
+    b = np.array([s.b for s in samplers], dtype=np.uint64)
+    limit = np.array(
+        [min(s._threshold, _WORD - 1) for s in samplers], dtype=np.uint64
+    )
+    hashed = a[:, None] * verts.astype(np.uint64) + b[:, None]
+    keep = hashed < limit[:, None]
+    keep[[s._threshold >= _WORD for s in samplers]] = True  # p = 1 keeps all
+    return keep

@@ -32,23 +32,29 @@ When ``M >= pop`` the sample is the whole graph, the correction is 1,
 and ``tau`` is the exact triangle count -- the deterministic hook the
 test suite pins the implementation against.
 
-The update is inherently sequential (each decision conditions the
-reservoir state), but the batch surface is columnar: an
-:class:`~repro.streaming.batch.EdgeBatch` hands over its edge columns
-and int8 sign column in one shot and the per-edge loop runs over plain
-Python ints -- no per-edge tuple allocation, no per-edge validation.
+Decisions run per event: each one conditions the reservoir state, so
+every sampler walks the batch in order, making the same ``coin`` /
+``rand_int`` draws on the slot arrays alone. ``tau`` is maintained per
+batch: the adjacency and triangle count follow the sample's *net*
+change once, after the walk (:func:`apply_sample_delta`). That is
+bit-identical to per-event upkeep because ``tau`` is always the
+triangle count of the current sampled edge set -- a function of the
+set, not of the path that reached it -- and no decision reads ``tau``
+or the adjacency. Edges admitted and evicted inside one batch never
+touch the adjacency at all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 from ..rng import RandomSource, spawn_sources
 
-__all__ = ["TriestFdSampler", "TriestFdCounter"]
+__all__ = ["TriestFdSampler", "TriestFdCounter", "apply_sample_delta"]
 
 
 class TriestFdSampler:
@@ -80,68 +86,60 @@ class TriestFdSampler:
         self.d_o = 0  # uncompensated deletions of unsampled edges
         self.tau = 0  # triangles with all three edges in the sample
 
-    # -- sample maintenance ------------------------------------------------
-    def _shared(self, u: int, v: int) -> int:
-        """Sampled common neighbors of ``u`` and ``v`` (triangles closed)."""
-        nu = self._adj.get(u)
-        nv = self._adj.get(v)
-        if not nu or not nv:
-            return 0
-        if len(nv) < len(nu):
-            nu, nv = nv, nu
-        return sum(1 for w in nu if w in nv)
-
-    def _add(self, u: int, v: int) -> None:
-        self.tau += self._shared(u, v)
-        self._slot[(u, v)] = len(self._edges)
-        self._edges.append((u, v))
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
-
-    def _remove_slot(self, idx: int) -> None:
-        u, v = self._edges[idx]
-        last = self._edges[-1]
-        self._edges[idx] = last
-        self._slot[last] = idx
-        self._edges.pop()
-        del self._slot[(u, v)]
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        if not self._adj[u]:
-            del self._adj[u]
-        if not self._adj[v]:
-            del self._adj[v]
-        self.tau -= self._shared(u, v)
-
     # -- the stream --------------------------------------------------------
-    def update(self, u: int, v: int, sign: int = 1) -> None:
-        """Observe one signed stream event (``u < v`` canonical)."""
-        self.t += 1
-        edge = (u, v)
-        if sign >= 0:
-            self.s += 1
-            if edge in self._slot:
-                return  # duplicate insert of a sampled edge: idempotent
-            d = self.d_i + self.d_o
-            if d == 0:
-                if len(self._edges) < self.memory:
-                    self._add(u, v)
-                elif self._rng.coin(self.memory / self.s):
-                    victim = self._rng.rand_int(0, len(self._edges) - 1)
-                    self._remove_slot(victim)
-                    self._add(u, v)
-            elif self._rng.coin(self.d_i / d):
-                self.d_i -= 1
-                self._add(u, v)
+    def update_rows(self, rows: Sequence, signs: Sequence | None) -> None:
+        """Observe a batch of canonical ``(u, v)`` tuples with their signs.
+
+        The reservoir and random-pairing decisions run per event over
+        the slot arrays alone; the first touch of each edge records
+        whether it started the batch sampled, and the adjacency and
+        ``tau`` then follow the sample's net change in one step.
+        """
+        edges, slot, memory = self._edges, self._slot, self.memory
+        coin, rand_int = self._rng.coin, self._rng.rand_int
+        s, d_i, d_o = self.s, self.d_i, self.d_o
+        sampled_before: dict[tuple[int, int], bool] = {}
+        for edge, sign in zip(rows, repeat(1) if signs is None else signs):
+            if sign < 0:
+                s -= 1
+                if edge not in slot:
+                    d_o += 1
+                    continue
+                d_i += 1
+                victim, edge = edge, None
             else:
-                self.d_o -= 1
-        else:
-            self.s -= 1
-            if edge in self._slot:
-                self._remove_slot(self._slot[edge])
-                self.d_i += 1
-            else:
-                self.d_o += 1
+                s += 1
+                if edge in slot:
+                    continue  # duplicate insert of a sampled edge: idempotent
+                d = d_i + d_o
+                if d:
+                    if not coin(d_i / d):
+                        d_o -= 1
+                        continue
+                    d_i -= 1
+                    victim = None
+                elif len(edges) < memory:
+                    victim = None
+                elif coin(memory / s):
+                    victim = edges[rand_int(0, len(edges) - 1)]
+                else:
+                    continue
+            if victim is not None:  # the last slot fills the hole
+                idx = slot.pop(victim)
+                last = edges.pop()
+                if idx < len(edges):
+                    edges[idx] = last
+                    slot[last] = idx
+                sampled_before.setdefault(victim, True)
+            if edge is not None:
+                sampled_before.setdefault(edge, False)
+                slot[edge] = len(edges)
+                edges.append(edge)
+        self.t += len(rows)
+        self.s, self.d_i, self.d_o = s, d_i, d_o
+        removed = [e for e, was in sampled_before.items() if was and e not in slot]
+        added = [e for e, was in sampled_before.items() if not was and e in slot]
+        self.tau += apply_sample_delta(self._adj, removed, added)
 
     # -- queries -----------------------------------------------------------
     def population(self) -> int:
@@ -228,19 +226,18 @@ class TriestFdCounter:
     def update_batch(self, batch: Sequence) -> None:
         """Observe one batch, signed or plain.
 
-        ``EdgeBatch`` inputs hand over their columns in one shot
-        (``signs`` defaulting to all-inserts); plain sequences accept
-        ``(u, v)`` pairs and ``(u, v, sign)`` triples.
+        Plain sequences of ``(u, v)`` pairs or ``(u, v, sign)`` triples
+        are validated into an :class:`~repro.streaming.batch.EdgeBatch`
+        first; its rows become tuples once and every sampler shares them.
         """
-        rows, signs = _columnar_rows(batch)
+        from ..streaming.batch import EdgeBatch
+
+        if not isinstance(batch, EdgeBatch):
+            batch = EdgeBatch.from_edges(batch)
+        rows = batch.tuples()
+        signs = None if batch.signs is None else batch.signs.tolist()
         for sampler in self._samplers:
-            update = sampler.update
-            if signs is None:
-                for u, v in rows:
-                    update(u, v)
-            else:
-                for (u, v), sign in zip(rows, signs):
-                    update(u, v, sign)
+            sampler.update_rows(rows, signs)
         self.edges_seen += len(rows)
 
     def state_dict(self) -> dict:
@@ -291,31 +288,30 @@ class TriestFdCounter:
         return self._samplers[0].s
 
 
-def _columnar_rows(batch):
-    """``(rows, signs)`` from a batch: EdgeBatch columns or plain tuples.
+def apply_sample_delta(
+    adj: dict[int, set[int]], removed: Iterable, added: Iterable
+) -> int:
+    """Move a sampled adjacency across a net change; return ``tau``'s change.
 
-    ``rows`` is a list of ``(u, v)`` int pairs; ``signs`` is a list of
-    ints or ``None`` for an all-insert batch, so the per-edge reservoir
-    loop runs over plain Python ints.
+    Each removed edge leaves first and uncounts the sampled triangles it
+    closed; each added edge then counts the triangles it closes. The
+    sampled triangle count is a function of the sampled edge set alone,
+    so one pass over a batch's net change lands on exactly the count the
+    per-event updates would have reached.
     """
-    from ..streaming.batch import EdgeBatch
-
-    if isinstance(batch, EdgeBatch):
-        rows = batch.array.tolist()
-        signs = None if batch.signs is None else batch.signs.tolist()
-        return rows, signs
-    rows = []
-    signs = []
-    signed = False
-    for item in batch:
-        if len(item) == 3:
-            u, v, sign = item
-            signed = True
-        else:
-            u, v = item
-            sign = 1
-        if u > v:
-            u, v = v, u
-        rows.append((int(u), int(v)))
-        signs.append(int(sign))
-    return rows, (signs if signed else None)
+    delta = 0
+    for u, v in removed:
+        nu, nv = adj[u], adj[v]
+        nu.discard(v)
+        nv.discard(u)
+        delta -= len(nu & nv)
+        if not nu:
+            del adj[u]
+        if not nv:
+            del adj[v]
+    for u, v in added:
+        nu, nv = adj.setdefault(u, set()), adj.setdefault(v, set())
+        delta += len(nu & nv)
+        nu.add(v)
+        nv.add(u)
+    return delta

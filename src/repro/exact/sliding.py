@@ -39,11 +39,7 @@ class WindowedExactCounter:
         self._adj: dict[int, set[int]] = {}
 
     def _common_neighbors(self, u: int, v: int) -> int:
-        a = self._adj.get(u, set())
-        b = self._adj.get(v, set())
-        if len(a) > len(b):
-            a, b = b, a
-        return sum(1 for w in a if w in b)
+        return len(self._adj.get(u, set()) & self._adj.get(v, set()))
 
     def _insert(self, e: Edge) -> None:
         u, v = e

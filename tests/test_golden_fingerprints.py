@@ -13,15 +13,21 @@ the tree *before* the sign column existed; if any of them moves, an
 insert-only code path changed behavior, which is a bug in whatever
 claimed to be a pure extension.
 
-(The two deletion-capable estimators are deliberately absent: they were
-born with the sign column and have no pre-change baseline.)
+The two deletion-capable estimators have their own goldens
+(:data:`TURNSTILE_GOLDEN`), captured before their hot loops were made
+batch-native: per-event reservoir decisions with ``tau`` maintained per
+batch from the sample's net change must reproduce the per-event loop
+bit for bit -- same rng consumption, same slot order, same ``tau``,
+``d_i``/``d_o`` and hash coefficients -- at every batch size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
+import pytest
 
 from repro.generators import holme_kim
 from repro.graph import write_edge_list
@@ -60,6 +66,52 @@ GOLDEN = {
     "timed-window": "76e97ad0c7e27ded2eb8b8a67d7e356d105f4ac11de31753c4ebed0394c277d8",
     "transitivity": "ad0f5aa4fefb6b2a26b6c8c3b936e2a4cc67733fbd7c875c08a70b72fb2cc243",
     "wedges": "a4d87c181d1608e21b65db3066a60934a899128f64972ec54eaef90f3deb7834",
+}
+
+
+def turnstile_golden_events(n=3000, vertices=40, seed=41):
+    """A fixed signed stream that drives every turnstile branch.
+
+    Besides fresh inserts and deletes of present edges it re-inserts
+    present edges (idempotent for a sampled edge, a ``d_o``-pairing or
+    reservoir step otherwise) and deletes absent ones (``d_o += 1``).
+    """
+    rng = random.Random(seed)
+    present: set[tuple[int, int]] = set()
+    events: list[tuple[int, int, int]] = []
+    while len(events) < n:
+        u, v = sorted(rng.sample(range(vertices), 2))
+        roll = rng.random()
+        if present and roll < 0.3:
+            u, v = rng.choice(sorted(present))
+            present.discard((u, v))
+            events.append((u, v, -1))
+        elif present and roll < 0.4:
+            events.append((*rng.choice(sorted(present)), 1))
+        elif roll < 0.45 and (u, v) not in present:
+            events.append((u, v, -1))
+        else:
+            present.add((u, v))
+            events.append((u, v, 1))
+    # end on a run of deletions so the final state holds uncompensated
+    # d_i / d_o counters
+    events += [(u, v, -1) for u, v in sorted(present)[:40]]
+    return events
+
+
+TURNSTILE_EVENTS = turnstile_golden_events()
+
+#: Sampling regime for the goldens: the reservoir is far smaller than
+#: the edge population and the hash keeps about half the vertices.
+TURNSTILE_POOLS = {"triest-fd": 8, "dynamic-sampler": 8}
+TURNSTILE_OPTIONS = {"triest-fd": {"memory": 96}, "dynamic-sampler": {"p": 0.5}}
+
+#: Captured on the per-event estimators, before their update became
+#: batch-native. Do not refresh these to make a failure pass -- a
+#: mismatch means the batched update changed rng consumption or state.
+TURNSTILE_GOLDEN = {
+    "dynamic-sampler": "58d1c12268b37b4f818841bed723ee60ea2fb73c156d421098669625f3345069",
+    "triest-fd": "265614cc427a33046b4c4c2b088a12c5c81244d675db212c81615438d193fdcc",
 }
 
 
@@ -144,3 +196,37 @@ class TestInsertOnlyGolden:
         replayed.run(JournalSource(journal_dir), batch_size=64)
         ((_, est),) = replayed._pairs
         assert state_fingerprint(est.state_dict()) == GOLDEN[name]
+
+
+class TestTurnstileGolden:
+    @pytest.mark.parametrize("batch_size", [1, 64, 4096])
+    @pytest.mark.parametrize("name", sorted(TURNSTILE_GOLDEN))
+    def test_deletion_capable_state_unchanged(self, name, batch_size):
+        pipe = Pipeline.from_registry(
+            [name],
+            num_estimators=TURNSTILE_POOLS[name],
+            seed=7,
+            options={name: TURNSTILE_OPTIONS[name]},
+        )
+        pipe.run(TURNSTILE_EVENTS, batch_size=batch_size)
+        ((_, est),) = pipe._pairs
+        assert state_fingerprint(est.state_dict()) == TURNSTILE_GOLDEN[name]
+
+    def test_golden_regime_samples(self):
+        """The goldens pin a genuinely sampled regime: the population
+        outgrows the reservoir, the final state holds uncompensated
+        deletions, and the hash drops vertices."""
+        pipe = Pipeline.from_registry(
+            sorted(TURNSTILE_GOLDEN),
+            num_estimators=2,
+            seed=7,
+            options=TURNSTILE_OPTIONS,
+        )
+        pipe.run(TURNSTILE_EVENTS, batch_size=64)
+        states = {name: est.state_dict() for name, est in pipe._pairs}
+        for sampler in states["triest-fd"]["samplers"]:
+            population = sampler["s"] + sampler["d_i"] + sampler["d_o"]
+            assert len(sampler["edges"]) <= 96 < population
+            assert sampler["d_i"] + sampler["d_o"] > 0 and sampler["tau"] > 0
+        for sampler in states["dynamic-sampler"]["samplers"]:
+            assert 0 < len(sampler["edges"]) < sampler["s"]

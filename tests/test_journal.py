@@ -26,7 +26,9 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,9 @@ class TestCrashAtAnyByte:
         """Truncate the final segment anywhere; replay must yield exactly
         the batches whose records were fully on disk -- byte-identical --
         and a reopened writer must append cleanly past the repair."""
-        directory = tmp_path / f"j{seed}-{n_batches}-{cut_fraction:.6f}"
+        # examples share tmp_path and distinct cut fractions can print
+        # alike, so each example gets a fresh directory
+        directory = Path(tempfile.mkdtemp(dir=tmp_path))
         rng = np.random.default_rng(seed)
         batches = [
             _batch(rng, int(rng.integers(1, 6)), signed=bool(rng.integers(2)))

@@ -15,8 +15,10 @@ Covers the end-to-end signed story introduced with the turnstile layer:
   still dies at the batch guard;
 - the two deletion-capable estimators (TRIÈST-FD and the
   vertex-subsampled dynamic sampler): exactness hooks against a full
-  recount (hypothesis-driven over random interleavings), batch-split
-  invariance, checkpoint kill/resume bit-identity over a signed
+  recount (hypothesis-driven over random interleavings), bit-identity
+  with a per-event reference loop at any batching (re-inserts and
+  deletes of absent edges included), batch-split invariance,
+  checkpoint kill/resume bit-identity over a signed
   stream, and sharded execution.
 """
 
@@ -29,11 +31,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic_sampler import DynamicSamplerCounter
+from repro.core import dynamic_sampler
+from repro.core.dynamic_sampler import (
+    DynamicGraphSampler,
+    DynamicSamplerCounter,
+    _keep_matrix,
+)
 from repro.core.triest_fd import TriestFdCounter
 from repro.errors import InvalidParameterError
 from repro.graph import write_signed_edge_list
 from repro.graph.io import iter_signed_edge_array_chunks
+from repro.rng import spawn_sources
 from repro.streaming import (
     ESTIMATORS,
     FileSource,
@@ -44,6 +52,7 @@ from repro.streaming import (
 )
 from repro.streaming.batch import EdgeBatch
 from repro.streaming.source import LineSource, as_source
+from test_golden_fingerprints import state_fingerprint
 
 DYNAMIC_NAMES = ["triest-fd", "dynamic-sampler"]
 DYNAMIC_OPTIONS = {"triest-fd": {"memory": 256}, "dynamic-sampler": {"p": 0.5}}
@@ -308,13 +317,20 @@ class TestSignedSources:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def turnstile_streams(draw):
-    """Interleaved inserts/deletes; deletes only ever hit present edges."""
+def turnstile_streams(draw, absent_deletes=True):
+    """Interleaved inserts/deletes, with re-inserts of present edges and,
+    if ``absent_deletes``, deletes of absent ones.
+
+    Those two drive the idempotent-insert, ``d_o`` and delete-of-unsampled
+    branches. Returns the events and the final edge set: a re-insert
+    leaves the graph unchanged and a delete of an absent edge is a no-op.
+    """
     n = draw(st.integers(min_value=10, max_value=16))
+    kinds = "+-ra" if absent_deletes else "+-r"
     ops = draw(
         st.lists(
             st.tuples(
-                st.integers(0, n), st.integers(0, n), st.booleans()
+                st.integers(0, n), st.integers(0, n), st.sampled_from(kinds)
             ).filter(lambda op: op[0] != op[1]),
             min_size=4,
             max_size=150,
@@ -322,30 +338,151 @@ def turnstile_streams(draw):
     )
     present: set[tuple[int, int]] = set()
     events = []
-    for u, v, try_delete in ops:
+    for u, v, kind in ops:
         edge = (min(u, v), max(u, v))
-        if try_delete and edge in present:
+        if kind == "-" and edge in present:
             present.discard(edge)
-            events.append((edge[0], edge[1], -1))
+            events.append((*edge, -1))
+        elif kind == "r" and edge in present:
+            events.append((*edge, 1))
+        elif kind == "a" and edge not in present:
+            events.append((*edge, -1))
         elif edge not in present:
             present.add(edge)
-            events.append((edge[0], edge[1], 1))
+            events.append((*edge, 1))
     return events, present
+
+
+def _common(adj, u, v):
+    return sum(1 for w in adj.get(u, ()) if w in adj.get(v, ()))
+
+
+def reference_triest_fd(events, memory, seed):
+    """Single-sampler TRIÈST-FD, recounting triangles at every sample change.
+
+    The per-event oracle for the batch-native sampler: same rng, same
+    draws, returned as the sampler's ``state_dict``.
+    """
+    rng = spawn_sources(seed, 1)[0]
+    edges, slot, adj = [], {}, {}
+    s = d_i = d_o = tau = 0
+
+    def add(edge):
+        nonlocal tau
+        tau += _common(adj, *edge)
+        slot[edge] = len(edges)
+        edges.append(edge)
+        adj.setdefault(edge[0], set()).add(edge[1])
+        adj.setdefault(edge[1], set()).add(edge[0])
+
+    def remove(idx):
+        nonlocal tau
+        edge, last = edges[idx], edges[-1]
+        edges[idx] = last
+        slot[last] = idx
+        edges.pop()
+        del slot[edge]
+        adj[edge[0]].discard(edge[1])
+        adj[edge[1]].discard(edge[0])
+        tau -= _common(adj, *edge)
+
+    for u, v, sign in events:
+        edge = (u, v)
+        if sign < 0:
+            s -= 1
+            if edge in slot:
+                remove(slot[edge])
+                d_i += 1
+            else:
+                d_o += 1
+            continue
+        s += 1
+        if edge in slot:
+            continue
+        d = d_i + d_o
+        if d == 0:
+            if len(edges) < memory:
+                add(edge)
+            elif rng.coin(memory / s):
+                remove(rng.rand_int(0, len(edges) - 1))
+                add(edge)
+        elif rng.coin(d_i / d):
+            d_i -= 1
+            add(edge)
+        else:
+            d_o -= 1
+    return {
+        "memory": memory, "t": len(events), "s": s, "d_i": d_i, "d_o": d_o,
+        "tau": tau, "edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
+        "rng": rng.getstate(),
+    }
+
+
+def reference_dynamic_sampler(events, p, seed):
+    """Single vertex-subsampled counter, updated event by event."""
+    sampler = DynamicGraphSampler(p, rng=spawn_sources(seed, 1)[0])
+    edges, adj, tau = set(), {}, 0
+    for u, v, sign in events:
+        if not (sampler.keeps(u) and sampler.keeps(v)):
+            continue
+        if sign > 0 and (u, v) not in edges:
+            tau += _common(adj, u, v)
+            edges.add((u, v))
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        elif sign < 0 and (u, v) in edges:
+            edges.discard((u, v))
+            adj[u].discard(v)
+            adj[v].discard(u)
+            tau -= _common(adj, u, v)
+    state = sampler.state_dict()
+    state.update(
+        t=len(events),
+        s=sum(sign for _, _, sign in events),
+        tau=tau,
+        edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+    )
+    return state
 
 
 class TestDynamicEstimators:
     @pytest.mark.parametrize("name", DYNAMIC_NAMES)
-    @given(data=turnstile_streams())
+    @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_exact_hooks_match_full_recount(self, name, data):
         """With the sampling knob open (memory >= everything, p = 1) both
-        estimators are exact: estimate == recount of the final graph."""
-        events, present = data
+        estimators are exact: estimate == recount of the final graph.
+
+        TRIÈST-FD's random pairing books a delete of an absent edge as a
+        ``d_o`` hole that a later insert may fill by dropping itself, so
+        its exact hook holds only without such deletes."""
+        events, present = data.draw(
+            turnstile_streams(absent_deletes=name == "dynamic-sampler")
+        )
         est = ESTIMATORS.get(name).create(2, 0, **EXACT_OPTIONS[name])
         for i in range(0, len(events), 13):
             est.update_batch(events[i : i + 13])
         assert est.estimate() == float(exact_triangles(present))
-        assert est.net_edges() == len(present)
+        assert est.net_edges() == sum(sign for _, _, sign in events)
+
+    @given(data=turnstile_streams(), split=st.integers(1, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_state_matches_per_event_reference(self, data, split):
+        """Per-event decisions with per-batch triangle upkeep reproduce the
+        per-event loop bit for bit, malformed events and any batching
+        included, in the sampled regime."""
+        events, _ = data
+        references = {
+            "triest-fd": reference_triest_fd(events, memory=8, seed=9),
+            "dynamic-sampler": reference_dynamic_sampler(events, p=0.6, seed=9),
+        }
+        options = {"triest-fd": {"memory": 8}, "dynamic-sampler": {"p": 0.6}}
+        for name, reference in references.items():
+            est = ESTIMATORS.get(name).create(1, 9, **options[name])
+            for batch in EdgeBatch.from_edges(np.array(events)).batches(split):
+                est.update_batch(batch)
+            (state,) = est.state_dict()["samplers"]
+            assert state_fingerprint(state) == state_fingerprint(reference), name
 
     @pytest.mark.parametrize("name", DYNAMIC_NAMES)
     def test_batch_split_invariance(self, name):
@@ -358,7 +495,22 @@ class TestDynamicEstimators:
         for batch in EdgeBatch.from_edges(arr).batches(37):
             many.update_batch(batch)
         assert one.estimates() == many.estimates()
-        assert repr(sorted(one.state_dict())) == repr(sorted(many.state_dict()))
+        assert state_fingerprint(one.state_dict()) == state_fingerprint(
+            many.state_dict()
+        )
+
+    def test_triest_fd_rejects_malformed_plain_sequences(self):
+        """Plain input takes the same validation as EdgeBatch input:
+        self-loops and negative ids raise instead of entering the sample."""
+        for bad in ([(1, 1), (1, 2)], [(1, 2), (-3, 4)], [(2, 2, -1)]):
+            counter = TriestFdCounter(2, 100, seed=0)
+            with pytest.raises(InvalidParameterError):
+                counter.update_batch(bad)
+            assert counter.edges_seen == 0 and counter.net_edges() == 0
+        counter = TriestFdCounter(2, 100, seed=0)
+        counter.update_batch([(2, 1, 1), (1, 3, 1), (3, 2, 1), (1, 3, -1)])
+        assert counter.net_edges() == 2
+        assert sorted(counter._samplers[0]._slot) == [(1, 2), (2, 3)]
 
     def test_triest_fd_stays_within_memory_budget(self):
         events, _ = make_events(2000, seed=6)
@@ -374,6 +526,25 @@ class TestDynamicEstimators:
         sizes = [len(s._edges) for s in counter._samplers]
         assert max(sizes) < len(present)  # genuinely subsampled
         assert counter.estimate() > 0
+
+    @pytest.mark.parametrize("p", [1e-30, 0.3, 1.0])
+    def test_pooled_hash_matches_per_vertex_keeps(self, p):
+        counter = DynamicSamplerCounter(5, p=p, seed=4)
+        verts = np.array([0, 1, 2, 977, 2**31 - 1], dtype=np.int64)
+        expected = [[s.keeps(x) for x in verts.tolist()] for s in counter._samplers]
+        assert _keep_matrix(counter._samplers, verts).tolist() == expected
+
+    def test_chunked_prefilter_matches_single_broadcast(self, monkeypatch):
+        """Splitting a large pool into prefilter chunks changes nothing."""
+        events, _ = make_events(1500, vertices=40, seed=3)
+        whole = DynamicSamplerCounter(9, p=0.5, seed=2)
+        whole.update_batch(events)
+        monkeypatch.setattr(dynamic_sampler, "_BROADCAST_CELLS", 1000)
+        chunked = DynamicSamplerCounter(9, p=0.5, seed=2)
+        chunked.update_batch(events)
+        assert state_fingerprint(whole.state_dict()) == state_fingerprint(
+            chunked.state_dict()
+        )
 
     @pytest.mark.parametrize("name", DYNAMIC_NAMES)
     def test_approximate_regime_is_in_the_ballpark(self, name):
