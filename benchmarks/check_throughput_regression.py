@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Six gates. The first three compare against the repo's committed
+Seven gates. The first three compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -38,12 +38,21 @@ append-before-deliver is a property of the code -- a serialization or
 sync regression shows up here no matter the hardware. Skipped when
 the artifact predates the journal benchmark.
 
+The seventh is self-relative too: at the shape every ``--workers``
+shard runs (r=8,192 estimators, batches of 8,192, a ~500k-edge stream
+over 250k vertices), the output-sensitive count engine must be no
+slower than its ``sparse=False`` dense reference, min of 3 interleaved
+runs each. The two paths are bit-identical, so the ratio isolates the
+sparse/dense dispatch: if the watch-index path stops paying for itself
+at the shape users shard to, this gate says so on any runner.
+
     PYTHONPATH=src python benchmarks/check_throughput_regression.py
 """
 
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from repro.experiments.runners import run_figure4, run_pipeline_throughput
@@ -53,6 +62,8 @@ ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 FLOOR_FRACTION = 0.5
 SHARD_SPEEDUP_FLOOR = 2.0
 JOURNAL_OVERHEAD_CEILING = 0.15
+#: The worker-shape gate: sparse time must not exceed dense time.
+WORKER_SHAPE_RATIO_FLOOR = 1.0
 
 
 def _gate(label: str, measured: float, baseline: float) -> bool:
@@ -158,6 +169,52 @@ def _journal_overhead_gate(committed: dict) -> bool:
     return True
 
 
+def _worker_shape_gate() -> bool:
+    from bench_large_r import _stub_matching_stream
+
+    from repro.core.vectorized import VectorizedTriangleCounter
+    from repro.streaming.batch import EdgeBatch
+
+    r = w = 8_192
+    stream = _stub_matching_stream(250_000, 4, seed=0)
+
+    def one_run(sparse: bool) -> float:
+        # Fresh batches (and per-batch contexts, built untimed) for
+        # every run, so no lazily cached context view carries over.
+        batches = [
+            EdgeBatch(stream[start : start + w])
+            for start in range(0, stream.shape[0], w)
+        ]
+        for batch in batches:
+            batch.context  # noqa: B018 -- build outside the timed loop
+        engine = VectorizedTriangleCounter(r, seed=0, sparse=sparse)
+        t0 = time.perf_counter()
+        for batch in batches:
+            engine.update_prepared(batch)
+        return time.perf_counter() - t0
+
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(3):
+        for sparse in (True, False):
+            best[sparse] = min(best[sparse], one_run(sparse))
+    ratio = best[False] / max(best[True], 1e-9)
+    print(
+        f"[throughput-gate] worker shape r={r} w={w} "
+        f"({stream.shape[0]} edges): sparse {best[True]:.3f}s, dense "
+        f"{best[False]:.3f}s (dense/sparse {ratio:.2f}, floor "
+        f"{WORKER_SHAPE_RATIO_FLOOR:.2f})"
+    )
+    if ratio < WORKER_SHAPE_RATIO_FLOOR:
+        print(
+            "[throughput-gate] FAIL (worker shape): the output-sensitive "
+            "count engine is slower than the dense reference at the "
+            "sharded-worker shape",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def main() -> int:
     committed = json.loads(ARTIFACT.read_text())
     r = min(committed["r_values"])
@@ -201,6 +258,7 @@ def main() -> int:
     ok = _shard_scaling_gate() and ok
     ok = _dynamic_gate(committed) and ok
     ok = _journal_overhead_gate(committed) and ok
+    ok = _worker_shape_gate() and ok
 
     if not ok:
         return 1

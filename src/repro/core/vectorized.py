@@ -114,6 +114,9 @@ class VectorizedTriangleCounter:
     #: of the batch's unique vertices (index intersection costs more
     #: than it saves), and likewise in step 3 against the batch width.
     _SCAN_FRACTION = 4
+    #: Close wedges with a pool scan when ``r`` is at most this multiple
+    #: of the batch width (see :meth:`_step3_sparse`).
+    _STEP3_SCAN_RATIO = 1
     #: Resampling at least ``r / 2**_SCAN_CHURN_SHIFT`` slots in one
     #: batch means most of the pool is touched anyway -- scan.
     _SCAN_CHURN_SHIFT = 3
@@ -401,6 +404,10 @@ class VectorizedTriangleCounter:
         Returns the closed slot indices (``None`` when nothing closed)
         so the sparse driver can account wedge-watch staleness when it
         delegates a dense-direction scan here.
+
+        A closing edge can only be in the batch if both outer endpoints
+        are batch vertices, so when the context has a vertex mask only
+        those wedges are binary-searched against the batch keys.
         """
         open_wedge = (~self.tset) & (self.r2u >= 0) & (self.r1u >= 0)
         if not open_wedge.any():
@@ -411,7 +418,16 @@ class VectorizedTriangleCounter:
         shared, out1, out2, keys = _kernel_backend().wedge_geometry(
             r1u, r1v, r2u, r2v
         )
-        local = ctx.position_in_batch_keys(keys)
+        mask = ctx.vertex_mask
+        if mask is None:
+            local = ctx.position_in_batch_keys(keys)
+        else:
+            hi = mask.shape[0] - 1
+            both = np.flatnonzero(
+                mask[np.minimum(out1, hi)] & mask[np.minimum(out2, hi)]
+            )
+            local = np.zeros(keys.shape[0], dtype=np.int64)
+            local[both] = ctx.position_in_batch_keys(keys[both])
         closed = (local > 0) & (base + local > self.r2pos[open_wedge])
         if not closed.any():
             return None
@@ -500,6 +516,13 @@ class VectorizedTriangleCounter:
         a matching live entry are not in the batch and keep degree 0.
         Scanning the whole pool is chosen when it is cheaper than
         intersecting (small pools, heavy-resample batches).
+
+        Deduplication is one sort of packed ``(slot << b) | i`` values
+        over ``concat(new_idx, hits)``: the heads of equal-slot runs
+        are the sorted unique candidates, and a running count of heads,
+        scattered back through the low bits, is every entry's position
+        among them. That is ``O(h log h)`` in the ``h`` hits, with no
+        temporary sized by the pool.
         """
         r = self.num_estimators
         k = new_idx.shape[0]
@@ -510,15 +533,24 @@ class VectorizedTriangleCounter:
         hits, qidx = self._vertex_watch.lookup(ctx.unique_vertices)
         if hits.shape[0] == 0:
             cand = new_idx
-        elif k == 0:
-            cand = np.unique(hits)
         else:
-            cand = np.unique(np.concatenate([new_idx, hits]))
+            merged = np.concatenate([new_idx, hits])
+            n = merged.shape[0]
+            shift = np.int64(max(1, (n - 1).bit_length()))
+            packed = _kernel_backend().pack_index_sort(merged, shift)
+            sorted_slots = packed >> shift
+            head = np.empty(n, dtype=bool)
+            head[0] = True
+            np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=head[1:])
+            cand = sorted_slots[head]
+            rank = np.cumsum(head) - 1
+            pos = np.empty(n, dtype=np.int64)
+            pos[packed & ((np.int64(1) << shift) - 1)] = rank
+            pos = pos[k:]
         n_c = cand.shape[0]
         deg_bx = np.zeros(n_c, dtype=np.int64)
         deg_by = np.zeros(n_c, dtype=np.int64)
         if hits.shape[0]:
-            pos = np.searchsorted(cand, hits)
             verts_h = ctx.unique_vertices[qidx]
             counts_h = ctx.unique_vertex_counts[qidx]
             is_u = verts_h == self.r1u[hits]
@@ -674,12 +706,15 @@ class VectorizedTriangleCounter:
         """Step 3 via the wedge watch (or a dense scan when cheaper).
 
         The index direction costs ``O(w log size)``; the dense scan
-        ``O(r + size log w)``. Scan when the pool is small against the
-        batch or the batch's key set outweighs the watched wedges.
+        ``O(r)`` plus a binary search for only the wedges whose outer
+        endpoints are both batch vertices. Scan when the pool is no
+        larger than the batch (the scan's pass over the pool then costs
+        no more than the index direction's pass over the batch keys) or
+        the batch's key set outweighs the watched wedges.
         """
         w = ctx.bu.shape[0]
         if (
-            self.num_estimators <= w // self._SCAN_FRACTION
+            self.num_estimators <= w * self._STEP3_SCAN_RATIO
             or self._wedge_watch.size <= w
         ):
             closed = self._step3(ctx, base)

@@ -18,11 +18,17 @@ Design, in the classic LSM spirit -- three tiers plus lazy deletion:
 - a **sorted base** (binary-searchable; held as packed
   ``(key << slot_bits) | slot`` int64 values whenever they fit, so one
   ``np.sort`` builds it and range queries need no gather indirection).
-  For compact key spaces (vertex watches) the base also carries dense
-  CSR offsets -- a range lookup is then two gathers -- and a
-  **membership bitmap** over the key space, incrementally updated by
-  ``add``, that prefilters query keys to the watched ones before any
-  per-key work happens;
+  For very compact key spaces (at most 8x the entry count) the base
+  also carries dense CSR offsets, so a range lookup is two gathers;
+- a **membership bitmap** over the key space, kept whenever a bool
+  per key stays within 64x the entry count (or 2**20 keys), which at
+  two entries per estimator is about 1.6x the pool's own state bytes.
+  It is independent of the offsets: a vertex watch over a vertex space
+  far larger than the pool still gets one. It prefilters query keys to
+  the watched ones before any binary search runs; ``add`` sets its
+  bits and grows it by doubling while the bound holds, and drops it
+  (until the next :meth:`rebuild`) only once a key passes the bound.
+  Edge-key watches never qualify;
 - a **sorted run**: recent additions, kept sorted and binary-searched
   like the base, re-sorted only when the unsorted tail spills into it;
 - an **unsorted tail** of the newest entries, probed linearly --
@@ -103,24 +109,31 @@ class WatchIndex:
     """
 
     __slots__ = ("_packed", "_shift", "_base_keys", "_base_slots", "_offsets",
-                 "_offsets_hi", "_bitmap", "_run_keys", "_run_slots",
-                 "_tail_keys", "_tail_slots", "_tail_size", "_stale")
+                 "_offsets_hi", "_bitmap", "_bitmap_hi", "_run_keys",
+                 "_run_slots", "_tail_keys", "_tail_slots", "_tail_size",
+                 "_stale")
 
     #: Merge the unsorted tail into the sorted run once it exceeds this
     #: (linear probes stay cheap; the run re-sort amortizes).
     _TAIL_MAX = 4096
-    #: Build dense per-key offsets and the membership bitmap when the
-    #: key space is at most this factor of the entry count...
+    #: Build dense per-key offsets when the key space is at most this
+    #: factor of the entry count...
     _DENSE_OFFSETS_FACTOR = 8
     #: ...or at most this absolute size, whichever is larger.
     _DENSE_OFFSETS_MIN = 65_536
+    #: Keep the membership bitmap while the key space is at most this
+    #: factor of the entry count, or at most ``_BITMAP_MIN`` keys.
+    _BITMAP_FACTOR = 64
+    _BITMAP_MIN = 1 << 20
     # (delta_size / nbytes / consolidate are introspection surface for
     # tests and capacity accounting; the engine compacts via rebuild.)
 
     def __init__(self) -> None:
         # Base: either packed (key << shift | slot) in _packed, or
         # parallel _base_keys/_base_slots when a pair does not fit one
-        # int64. Dense offsets/bitmap only for compact key spaces.
+        # int64. Dense offsets and the bitmap only for bounded key
+        # spaces; the bitmap covers keys [0, _bitmap_hi) and its last
+        # cell (index _bitmap_hi) is a False sentinel for clipped keys.
         self._packed = _EMPTY
         self._shift = np.int64(0)
         self._base_keys = _EMPTY
@@ -128,6 +141,7 @@ class WatchIndex:
         self._offsets: np.ndarray | None = None
         self._offsets_hi = 0
         self._bitmap: np.ndarray | None = None
+        self._bitmap_hi = 0
         self._run_keys = _EMPTY
         self._run_slots = _EMPTY
         self._tail_keys: list[np.ndarray] = []
@@ -147,12 +161,11 @@ class WatchIndex:
         self._tail_slots.append(slots)
         self._tail_size += n
         if self._bitmap is not None:
-            if bool((keys <= self._offsets_hi).all()):
+            key_max = int(keys.max())
+            if key_max >= self._bitmap_hi:
+                self._grow_bitmap(key_max)
+            if self._bitmap is not None:
                 self._bitmap[keys] = True
-            else:
-                # A key beyond the bitmap's span cannot be prefiltered:
-                # drop the bitmap until the next rebuild re-spans it.
-                self._bitmap = None
         if self._tail_size > self._TAIL_MAX:
             self._merge_tail_into_run()
 
@@ -205,7 +218,7 @@ class WatchIndex:
             return _EMPTY, _EMPTY
         query_idx = None
         if self._bitmap is not None:
-            watched = self._bitmap[np.minimum(query_keys, self._offsets_hi)]
+            watched = self._bitmap[np.minimum(query_keys, self._bitmap_hi)]
             if not watched.all():
                 query_idx = np.flatnonzero(watched)
                 query_keys = query_keys[query_idx]
@@ -339,21 +352,44 @@ class WatchIndex:
             self._base_keys = keys[order]
             self._base_slots = slots[order]
         if key_max <= max(self._DENSE_OFFSETS_MIN, self._DENSE_OFFSETS_FACTOR * n):
-            # Compact key space (vertex watches): dense CSR offsets turn
-            # a range lookup into two gathers, and the bitmap prefilters
-            # query keys to watched ones before any per-key work.
+            # Compact key space: dense CSR offsets turn a range lookup
+            # into two gathers.
             counts = np.bincount(keys, minlength=key_max + 1)
             offsets = np.zeros(key_max + 3, dtype=np.int64)
             np.cumsum(counts, out=offsets[1 : key_max + 2])
             offsets[key_max + 2] = n
             self._offsets = offsets
             self._offsets_hi = key_max + 1
-            bitmap = np.zeros(key_max + 2, dtype=bool)
-            bitmap[:-1] = counts > 0
-            self._bitmap = bitmap
         else:
             self._offsets = None
+        if key_max < self._bitmap_bound(n):
+            bitmap = np.zeros(key_max + 2, dtype=bool)
+            bitmap[keys] = True
+            self._bitmap = bitmap
+            self._bitmap_hi = key_max + 1
+        else:
             self._bitmap = None
+
+    def _bitmap_bound(self, entries: int) -> int:
+        """Largest bitmap span (keys covered) allowed for ``entries``."""
+        return max(self._BITMAP_MIN, self._BITMAP_FACTOR * entries)
+
+    def _grow_bitmap(self, key_max: int) -> None:
+        """Re-span the bitmap past ``key_max`` by doubling, or drop it.
+
+        The span at least doubles (so growth amortizes) but never passes
+        the memory bound; a key past the bound drops the bitmap until
+        the next :meth:`rebuild` re-spans it.
+        """
+        bound = self._bitmap_bound(self.size)
+        if key_max >= bound:
+            self._bitmap = None
+            return
+        hi = min(max(2 * self._bitmap_hi, key_max + 1), bound)
+        bitmap = np.zeros(hi + 1, dtype=bool)
+        bitmap[: self._bitmap_hi] = self._bitmap[: self._bitmap_hi]
+        self._bitmap = bitmap
+        self._bitmap_hi = hi
 
     def _base_size(self) -> int:
         return self._packed.shape[0] or self._base_keys.shape[0]

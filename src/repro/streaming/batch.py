@@ -343,12 +343,18 @@ class BatchContext:
         "_uniq_key_pos",
         "_remaining",
         "_decode_bases",
+        "_vertex_mask",
     )
 
     #: Use dense lookup tables when ``max_id`` is at most this factor of
     #: the batch size (bounds table memory to a few times the batch).
     _DENSE_FACTOR = 8
     _DENSE_MIN = 65_536
+    #: Build the vertex membership mask (one bool per id) only while
+    #: ``max_id`` is at most this factor of the batch's endpoint count,
+    #: or at most ``_MASK_MIN``, so it stays bounded by the batch size.
+    _MASK_FACTOR = 64
+    _MASK_MIN = 1 << 20
 
     def __init__(
         self, bu: np.ndarray, bv: np.ndarray, signs: np.ndarray | None = None
@@ -427,6 +433,7 @@ class BatchContext:
         self._uniq_key_pos = None
         self._remaining = None
         self._decode_bases = None
+        self._vertex_mask = None
 
     # ------------------------------------------------------------------
     # signed (turnstile) views shared by every deletion-aware consumer
@@ -582,6 +589,29 @@ class BatchContext:
                 gs_v + self.deg_at_edge_v - remaining_u - 1,
             )
         return self._decode_bases
+
+    @property
+    def vertex_mask(self) -> np.ndarray | None:
+        """Batch-vertex membership by id, or ``None`` past the size bound.
+
+        ``mask[v]`` is true iff ``v`` is an endpoint of some batch edge,
+        for ``0 <= v < len(mask) - 1``; the last cell is a false
+        sentinel, so callers clip larger ids to it. Taken from the dense
+        degree table when that exists, else built lazily, once per
+        batch, and only while the id space is within
+        ``max(_MASK_MIN, _MASK_FACTOR * 2w)``.
+        """
+        if self._vertex_mask is None and self._uniq_verts.shape[0]:
+            if self._deg_table is not None:
+                self._vertex_mask = self._deg_table[1:] > 0
+            else:
+                max_id = int(self._uniq_verts[-1])
+                bound = max(self._MASK_MIN, self._MASK_FACTOR * 2 * self.bu.shape[0])
+                if max_id <= bound:
+                    mask = np.zeros(max_id + 2, dtype=bool)
+                    mask[self._uniq_verts] = True
+                    self._vertex_mask = mask
+        return self._vertex_mask
 
     @property
     def event_order(self) -> np.ndarray:

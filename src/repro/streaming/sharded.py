@@ -176,6 +176,23 @@ def _journaled(batches: Iterable, journal: JournalWriter) -> Iterable:
         yield batch
 
 
+def _timed_pulls(batches: Iterable, elapsed: list) -> Iterable:
+    """Yield from ``batches``, adding each pull's wall time to ``elapsed[0]``.
+
+    Wraps the parent's one stream read (journal appends included), so
+    a sharded report's ``io_seconds`` is the same stream-side share a
+    single-process :class:`~repro.streaming.pipeline.Pipeline` reports.
+    """
+    it = iter(batches)
+    while True:
+        t0 = time.perf_counter()
+        batch = next(it, None)
+        elapsed[0] += time.perf_counter() - t0
+        if batch is None:
+            return
+        yield batch
+
+
 def _worker_loop(in_queue, out_queue, index: int, specs, shm_client=None) -> None:
     """Process one worker's shards; ship back ``{name: state_dict}``.
 
@@ -444,11 +461,13 @@ class ShardedPipeline:
                 fsync=journal_fsync,
                 max_segment_bytes=journal_max_segment,
             )
+        io_seconds = [0.0]
         start = time.perf_counter()
         try:
             stream = source.batches(batch_size)
             if journal is not None:
                 stream = _journaled(stream, journal)
+            stream = _timed_pulls(stream, io_seconds)
             if self.workers == 1:
                 pairs = _build_estimators(specs[0])
                 edges, batches, timings = _consume(pairs, stream)
@@ -475,7 +494,7 @@ class ShardedPipeline:
         self._merged = merged_pairs
         total = time.perf_counter() - start
         report = PipelineReport(
-            edges=edges, batches=batches, seconds=total, io_seconds=0.0
+            edges=edges, batches=batches, seconds=total, io_seconds=io_seconds[0]
         )
         for name, estimator in merged_pairs:
             reporter = (

@@ -10,6 +10,8 @@ fail fast under the module-wide timeout.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from repro.streaming import (
     derive_shard_seed,
     shard_sizes,
 )
+from repro.streaming.batch import EdgeBatch
 from repro.streaming.sharded import _build_estimators, _consume
-from repro.streaming.source import as_source
+from repro.streaming.source import EdgeSource, as_source
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -270,3 +273,39 @@ class TestExecution:
         sharded = ShardedPipeline(["boom-state-for-shard-test"], workers=2)
         with pytest.raises(RuntimeError, match="post-stream"):
             sharded.run(stream_array[:256], batch_size=64)
+
+
+class _SleepySource(EdgeSource):
+    """A memory source whose every batch pull takes at least ``delay``."""
+
+    def __init__(self, arr, delay):
+        self._arr = arr
+        self._delay = delay
+
+    def batches(self, batch_size):
+        for start in range(0, self._arr.shape[0], batch_size):
+            time.sleep(self._delay)
+            yield EdgeBatch(self._arr[start : start + batch_size])
+
+
+@pytest.mark.parametrize(
+    "workers, max_restarts",
+    [(1, 0), (2, 0), (2, 1)],
+    ids=["in-process", "workers", "supervised"],
+)
+def test_io_seconds_times_the_parent_stream_pulls(
+    stream_array, workers, max_restarts
+):
+    """Regression: the sharded report always said ``io_seconds=0.0``."""
+    delay, batch_size = 0.02, 256
+    n_batches = -(-stream_array.shape[0] // batch_size)
+    sharded = ShardedPipeline(
+        ["count"],
+        workers=workers,
+        num_estimators=32,
+        seed=5,
+        max_restarts=max_restarts,
+    )
+    report = sharded.run(_SleepySource(stream_array, delay), batch_size=batch_size)
+    assert report.batches == n_batches
+    assert n_batches * delay <= report.io_seconds <= report.seconds

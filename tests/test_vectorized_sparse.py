@@ -15,6 +15,7 @@ estimator as the dense reference path:
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import backend as kernel_backend
 from repro.core.vectorized import STATE_FIELDS, VectorizedTriangleCounter
+from repro.core.watch_index import WatchIndex
 from repro.errors import InvalidParameterError
 from repro.generators import holme_kim
 from repro.streaming.batch import EdgeBatch
@@ -75,6 +77,7 @@ def force_index_paths(counter, *, compact_always=False):
     """Disable the scan heuristics so every batch exercises the indexes."""
     counter._SCAN_CHURN_SHIFT = 0
     counter._SCAN_FRACTION = 10**9
+    counter._STEP3_SCAN_RATIO = 0
     if compact_always:
         counter._COMPACT_MIN = 1
 
@@ -200,6 +203,67 @@ class TestSparseDenseEquivalence:
 
         with kernel_backend.use(backend):
             assert_states_equal(build(True), build(False))
+
+
+class TestBoundedPrefilters:
+    """sparse == dense where the vertex bitmap and batch mask engage.
+
+    The vertex watch's membership bitmap and the context's vertex mask
+    are sized by the id space, within bounds; these streams sit on
+    either side of those bounds.
+    """
+
+    STREAM = np.asarray(holme_kim(400, 3, 0.5, seed=11), dtype=np.int64)
+
+    def _run_pair(self, arr, r, batch_size, forced):
+        sparse = VectorizedTriangleCounter(r, seed=8, sparse=True)
+        dense = VectorizedTriangleCounter(r, seed=8, sparse=False)
+        if forced:
+            force_index_paths(sparse)
+        for start in range(0, arr.shape[0], batch_size):
+            sparse.update_batch(arr[start : start + batch_size])
+            dense.update_batch(arr[start : start + batch_size])
+        return sparse, dense
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_bitmap_only_watch_grows_mid_stream(self, forced, monkeypatch):
+        # Ids spread over [70k, 870k): far past 8x the pool's 512 vertex
+        # entries (no dense offsets) but inside the bitmap's bound, and
+        # Holme-Kim vertices arrive in id order, so the watched span
+        # keeps growing as the stream goes on.
+        arr = 70_000 + 2_000 * self.STREAM
+        grown = []
+        original = WatchIndex._grow_bitmap
+
+        def counting(index, key_max):
+            original(index, key_max)
+            grown.append(index._bitmap is not None)
+
+        monkeypatch.setattr(WatchIndex, "_grow_bitmap", counting)
+        sparse, dense = self._run_pair(arr, 256, 32, forced)
+        assert_states_equal(sparse, dense)
+        assert sparse.tset.any()  # triangles closed on the way
+        watch = sparse._vertex_watch
+        assert watch._offsets is None
+        assert watch._bitmap is not None
+        assert any(grown) and all(grown)
+        assert EdgeBatch.from_edges(arr[-32:]).context.vertex_mask is not None
+
+    def test_ids_near_vertex_limit_build_no_id_sized_arrays(self):
+        # Ids just under 2^31: neither the bitmap nor the batch mask may
+        # be built. A single id-sized bool array is ~2 GB, so the cap
+        # turns any such allocation into a failure.
+        arr = (2**31 - 1) - 5 * self.STREAM
+        tracemalloc.start()
+        try:
+            sparse, dense = self._run_pair(arr, 256, 32, forced=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert_states_equal(sparse, dense)
+        assert sparse._vertex_watch._bitmap is None
+        assert EdgeBatch.from_edges(arr[-32:]).context.vertex_mask is None
 
 
 class _BoundaryRng:
@@ -355,6 +419,20 @@ class TestContextIntersectionViews:
         ctx = self._ctx([(0, 1), (0, 2), (1, 2)])
         assert ctx.unique_vertices.tolist() == [0, 1, 2]
         assert ctx.unique_vertex_counts.tolist() == [2, 2, 2]
+
+    @pytest.mark.parametrize("offset", [0, 500_000, 1 << 28])
+    def test_vertex_mask_marks_exactly_the_batch_vertices(self, offset):
+        # Compact ids read the dense degree table, mid-range ids build
+        # their own mask, and ids past the bound get no mask at all.
+        edges = [(offset + 3, offset + 9), (offset + 9, offset + 40)]
+        ctx = self._ctx(edges)
+        mask = ctx.vertex_mask
+        if offset == 1 << 28:
+            assert mask is None
+            return
+        assert (ctx._deg_table is not None) == (offset == 0)
+        assert np.flatnonzero(mask).tolist() == [offset + 3, offset + 9, offset + 40]
+        assert not mask[-1]  # the clip sentinel
 
     def _ctx(self, edges):
         return EdgeBatch.from_edges(edges).context

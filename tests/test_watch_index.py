@@ -111,17 +111,33 @@ class TestRepresentations:
         slots, qidx = idx.lookup(np.sort(keys))
         assert sorted(slots.tolist()) == [4, 9]
 
-    def test_bitmap_survives_in_span_adds_and_drops_beyond_span(self):
+    def test_bitmap_grows_past_span_and_drops_past_bound(self):
         idx = WatchIndex()
         idx.rebuild(np.array([2, 4], dtype=np.int64), np.array([0, 1], dtype=np.int64))
         assert idx._bitmap is not None
         idx.add(np.array([3], dtype=np.int64), np.array([2], dtype=np.int64))
         assert idx._bitmap is not None  # in-span: incrementally marked
         assert lookup_pairs(idx, [2, 3, 4]) == [(2, 0), (3, 2), (4, 1)]
-        far = int(idx._offsets_hi) + 100
+        far = int(idx._bitmap_hi) + 100
         idx.add(np.array([far], dtype=np.int64), np.array([3], dtype=np.int64))
-        assert idx._bitmap is None  # beyond span: prefilter disabled
+        assert idx._bitmap is not None  # past the span: grown, not dropped
+        assert idx._bitmap_hi > far
         assert lookup_pairs(idx, [2, far]) == [(2, 0), (far, 3)]
+        huge = WatchIndex._BITMAP_MIN + 7
+        idx.add(np.array([huge], dtype=np.int64), np.array([4], dtype=np.int64))
+        assert idx._bitmap is None  # past the memory bound: prefilter off
+        assert lookup_pairs(idx, [2, far, huge]) == [(2, 0), (far, 3), (huge, 4)]
+
+    def test_bitmap_without_dense_offsets_for_sparse_keys(self):
+        # Keys spread 16x wider than the offsets allow still get the
+        # standalone membership bitmap (a vertex watch over a vertex
+        # space much larger than the pool).
+        keys = np.arange(0, 1 << 20, 1 << 10, dtype=np.int64)
+        idx = WatchIndex()
+        idx.rebuild(keys, np.arange(keys.shape[0], dtype=np.int64))
+        assert idx._offsets is None
+        assert idx._bitmap is not None
+        assert lookup_pairs(idx, [0, 1, 1 << 10, 5000]) == [(0, 0), (1 << 10, 1)]
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -170,6 +186,82 @@ class TestExpandRanges:
             np.array([0], dtype=np.int64),
         )
         assert pos.shape == qidx.shape == (0,)
+
+
+class SmallBitmap(WatchIndex):
+    """Bitmap bounds scaled down so short sequences cross them."""
+
+    __slots__ = ()
+    _TAIL_MAX = 8
+    _BITMAP_MIN = 32
+    _BITMAP_FACTOR = 8
+
+
+# Mostly keys near the bitmap's span (growth), some far past its bound
+# (fallback).
+_keys = st.one_of(st.integers(0, 150), st.integers(0, 150), st.integers(0, 5000))
+_entries = st.lists(st.tuples(_keys, st.integers(0, 40)), min_size=1, max_size=6)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _entries),
+        st.tuples(st.just("stale"), st.integers(0, 5)),
+        st.tuples(st.just("rebuild"), st.integers(0, 60)),
+        st.tuples(st.just("lookup"), st.lists(_keys, max_size=20)),
+    ),
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(initial=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40))), ops=_ops)
+def test_bounded_bitmap_against_dict_reference(initial, ops):
+    """Random add/note_stale/rebuild/lookup sequences against a dict.
+
+    Keys run past the bitmap's span (forcing doubling growth) and past
+    its memory bound (forcing the fallback); every lookup must report
+    every held entry for a queried key and nothing for unqueried keys,
+    and the bitmap must respect its bound and show up in ``nbytes()``.
+    """
+    idx = SmallBitmap()
+    held: dict[int, set[int]] = {}
+
+    def rebuild(pairs):
+        idx.rebuild(
+            np.array([k for k, _ in pairs], dtype=np.int64),
+            np.array([s for _, s in pairs], dtype=np.int64),
+        )
+        held.clear()
+        for k, s in pairs:
+            held.setdefault(k, set()).add(s)
+
+    rebuild(initial)
+    for op, arg in ops:
+        if op == "add":
+            idx.add(
+                np.array([k for k, _ in arg], dtype=np.int64),
+                np.array([s for _, s in arg], dtype=np.int64),
+            )
+            for k, s in arg:
+                held.setdefault(k, set()).add(s)
+        elif op == "stale":
+            idx.note_stale(arg)
+        elif op == "rebuild":
+            # The authoritative live set: a prefix of what is held.
+            rebuild(sorted((k, s) for k, ss in held.items() for s in ss)[:arg])
+        else:
+            query = sorted(set(arg))
+            slots, qidx = idx.lookup(np.asarray(query, dtype=np.int64))
+            got: dict[int, set[int]] = {}
+            for s, q in zip(slots.tolist(), qidx.tolist()):
+                got.setdefault(query[q], set()).add(s)
+            assert got == {k: held[k] for k in query if k in held}
+        bitmap = idx._bitmap
+        if bitmap is not None:
+            assert idx._bitmap_hi <= idx._bitmap_bound(idx.size)
+            assert bitmap.shape[0] == idx._bitmap_hi + 1
+            assert not bitmap[idx._bitmap_hi]  # clip sentinel
+            assert all(bitmap[k] for k in held)
+            assert idx.nbytes() >= bitmap.nbytes + 8 * idx.size
 
 
 def test_nbytes_accounts_all_tiers():
