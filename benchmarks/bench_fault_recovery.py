@@ -5,8 +5,9 @@ when a failure costs less than rerunning the stream. This benchmark
 measures :class:`~repro.core.parallel.ParallelTriangleCounter` over a
 long synthetic stream three ways:
 
-- ``unsupervised`` -- the legacy fail-fast path (the overhead baseline);
-- ``supervised`` -- supervision on (``max_restarts``, periodic
+- ``unsupervised`` -- ``max_restarts=0``, the executor's fail-fast
+  mode with no snapshot barriers (the overhead baseline);
+- ``supervised`` -- a restart budget (``max_restarts``, periodic
   in-memory snapshots) but no fault injected: the pure overhead of the
   snapshot barriers;
 - ``faulted`` -- same, with a worker SIGKILLed mid-stream by a

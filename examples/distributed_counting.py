@@ -22,7 +22,6 @@ import tempfile
 from example_utils import scaled
 
 from repro import EdgeStream, exact_triangle_count
-from repro.core.checkpoint import from_state_dict, merge_counters, to_state_dict
 from repro.core.parallel import count_triangles_parallel
 from repro.core.vectorized import VectorizedTriangleCounter
 from repro.generators import holme_kim
@@ -38,13 +37,14 @@ def main() -> None:
     # --- node A: stream, checkpoint halfway, restore, continue --------
     node_a = VectorizedTriangleCounter(scaled(20_000), seed=1)
     node_a.update_batch(edges[:half])
-    checkpoint = to_state_dict(node_a)
+    checkpoint = node_a.state_dict()
     array_bytes = sum(
         v.nbytes for v in checkpoint.values() if hasattr(v, "nbytes")
     )
     print(f"node A checkpointed at {checkpoint['edges_seen']} edges "
           f"({array_bytes:,} bytes of array state)")
-    node_a = from_state_dict(checkpoint, seed=11)   # simulated restart
+    node_a = VectorizedTriangleCounter(1)   # simulated restart
+    node_a.load_state_dict(checkpoint)      # restores node A's generator too
     node_a.update_batch(edges[half:])
 
     # --- node B: independent pool over the same stream ----------------
@@ -52,7 +52,13 @@ def main() -> None:
     node_b.update_batch(edges)
 
     # --- merge: one pooled estimate ------------------------------------
-    merged = merge_counters([node_a, node_b], seed=9)
+    # The merged pool gets its own generator: adopting node A's would
+    # replay node A's future draws.
+    merged = VectorizedTriangleCounter(1, seed=3)
+    merged.load_state_dict(
+        {k: v for k, v in node_a.state_dict().items() if k != "rng"}
+    )
+    merged.merge(node_b)
     for name, counter in (("node A", node_a), ("node B", node_b), ("merged", merged)):
         est = counter.estimate()
         print(f"{name:>7}: r={counter.num_estimators:>6,}  estimate={est:9.1f}  "

@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --workers > 1: respawn a crashed or hung worker up "
         "to N times (snapshot restore + bounded replay keeps results "
-        "bit-identical). 0 disables supervision and fails the run on "
-        "the first worker death (default: 2)",
+        "bit-identical). 0 fails the run on the first worker death "
+        "(default: 2)",
     )
     p_pipe.add_argument(
         "--worker-deadline",

@@ -25,7 +25,6 @@ user-facing algorithms register specs in
   (Section 3.5);
 - :mod:`repro.core.parallel` -- estimator-pool sharding across
   processes, fed batch-by-batch from a single stream read;
-- :mod:`repro.core.checkpoint` -- state persistence and pool merging;
 - :mod:`repro.core.cliques4` / :mod:`repro.core.cliques` -- 4-clique and
   general l-clique counting (Section 5.1);
 - :mod:`repro.core.sliding_window` / :mod:`repro.core.timed_window` --
@@ -43,7 +42,6 @@ from .accuracy import (
     estimators_needed_wedges,
     s_eps_delta,
 )
-from .checkpoint import from_state_dict, merge_counters, to_state_dict
 from .cliques import CliqueCounter
 from .cliques4 import CliqueCounter4, FourCliqueSamplerTypeI, FourCliqueSamplerTypeII
 from .dynamic_sampler import DynamicGraphSampler, DynamicSamplerCounter
@@ -71,9 +69,6 @@ __all__ = [
     "TimedWindowSampler",
     "TimedWindowTriangleCounter",
     "count_triangles_parallel",
-    "from_state_dict",
-    "merge_counters",
-    "to_state_dict",
     "SlidingWindowTriangleCounter",
     "TransitivityEstimator",
     "TriangleCounter",

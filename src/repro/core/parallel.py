@@ -7,149 +7,35 @@ estimator observes the whole stream independently, so ``r`` estimators
 split into ``k`` pools of ``r/k``, each pool runs on its own core over
 the same edges, and the final estimate is the pooled mean.
 
-:class:`ParallelTriangleCounter` implements that with long-lived
-``multiprocessing`` workers fed batch by batch: the parent reads the
-stream **once** through an :class:`~repro.streaming.source.EdgeSource`
-and fans each batch out to every worker's bounded queue (an imap-style
-feed), so peak memory is O(workers x batch) instead of the old
-per-worker ``list(edges)`` copies (k x stream memory). Columnar batches
-cross the process boundary as raw ``(w, 2)`` int64 arrays -- pickled as
-flat buffers rather than per-tuple objects -- and workers feed them
-straight to the vectorized engine's prepared fast path. Worker seeds are
-spawned through :class:`numpy.random.SeedSequence`, whose splitting is
-collision-resistant by construction -- and ``seed=None`` now means
-fresh OS entropy per run rather than silently degrading to a
-deterministic seed. Workers return their estimator state; the parent
-merges via :func:`repro.core.checkpoint.merge_counters`.
+:class:`ParallelTriangleCounter` is the counter-only front-end to the
+one multiprocess executor,
+:class:`~repro.streaming.supervisor.ShardExecutor`: it plans one
+``count`` shard per worker and the executor reads the stream **once**,
+fanning each batch out to long-lived workers (zero-copy shared memory
+or pickled arrays), so peak memory is O(workers x batch) rather than a
+stream copy per worker. Worker seeds are spawned through
+:class:`numpy.random.SeedSequence`, whose splitting is
+collision-resistant by construction -- and ``seed=None`` means fresh OS
+entropy per run. Workers return their estimator state; the parent
+concatenates the pools through ``load_state_dict``/``merge`` into a
+:class:`~repro.core.vectorized.VectorizedTriangleCounter` that owns a
+dedicated spawn child as its generator.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import queue as queue_module
-import traceback
-
 import numpy as np
 
-from ..errors import InvalidParameterError, WorkerCrashedError
-from ..streaming.batch import EdgeBatch
-from ..streaming.shm import BatchSender, TransportFeed, check_procs_alive
+from ..errors import InvalidParameterError
 from ..streaming.source import as_source
-from .checkpoint import from_state_dict, merge_counters
+from ..streaming.supervisor import (
+    EstimatorShardProgram,
+    ShardExecutor,
+    Supervision,
+)
 from .vectorized import VectorizedTriangleCounter
 
 __all__ = ["ParallelTriangleCounter", "count_triangles_parallel"]
-
-#: Batches in flight per worker queue; bounds parent-side memory while
-#: still hiding pickling latency behind worker compute.
-_QUEUE_DEPTH = 4
-
-
-def _worker_loop(
-    in_queue,
-    out_queue,
-    index: int,
-    num_estimators: int,
-    seed_seq: np.random.SeedSequence,
-    shm_client=None,
-) -> None:
-    """Consume batches until the ``None`` sentinel; ship back the state.
-
-    Batches arrive through the shared transport feed -- zero-copy
-    shared-memory views when the parent runs the shm ring, pickled
-    arrays otherwise -- already wrapped as canonical, validated
-    :class:`EdgeBatch` columns that go straight to the engine's
-    prepared fast path. On a worker-side exception the error is shipped
-    back instead of the state, and the input queue is drained to its
-    sentinel first (releasing any ring slots) -- the parent writes to
-    bounded queues, so a worker that stopped consuming would deadlock
-    it. The original traceback text rides along as the result's third
-    element, captured *before* the pickle probe so even an unpicklable
-    exception reports its own failure site.
-    """
-    feed = TransportFeed(in_queue, shm_client)
-    try:
-        counter = VectorizedTriangleCounter(num_estimators, seed=seed_seq)
-        for batch in feed:
-            if isinstance(batch, EdgeBatch):
-                counter.update_prepared(batch)
-            else:
-                counter.update_batch(batch)
-        result = ("ok", counter.state_dict(), None)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        feed.drain()
-        try:
-            pickle.dumps(exc)
-            result = ("error", exc, tb)
-        except Exception:  # pragma: no cover - unpicklable exception
-            result = ("error", RuntimeError(tb), tb)
-    finally:
-        if shm_client is not None:
-            shm_client.close()
-    out_queue.put((index, result))
-
-
-def _put_alive(queue, item, proc, index: int) -> None:
-    """``queue.put`` that notices a dead consumer instead of blocking.
-
-    The batch queues are bounded, so a worker killed abnormally (OOM,
-    segfault) would otherwise wedge the parent forever once its queue
-    filled.
-    """
-    while True:
-        try:
-            queue.put(item, timeout=1.0)
-            return
-        except queue_module.Full:
-            if not proc.is_alive():
-                raise WorkerCrashedError(
-                    f"worker {index} died (exitcode {proc.exitcode}) "
-                    "without reporting a result"
-                ) from None
-
-
-#: Consecutive empty polls tolerated for a worker that exited with code
-#: 0 before its result surfaces (a queue feeder may still be flushing).
-_CLEAN_EXIT_GRACE_POLLS = 3
-
-
-def _collect_results(out_queue, procs) -> list:
-    """Gather one result per worker, raising if any died silently.
-
-    *Any* dead worker that has not reported is treated as crashed --
-    including exitcode 0. A worker can exit "cleanly" without posting
-    its result (an ``os._exit(0)`` deep in a library, a failed queue
-    feeder), and waiting only on nonzero exit codes would leave this
-    loop polling forever. Zero-exit workers get a few grace polls
-    first, because a result written just before exit can still be in
-    the queue's feeder pipe.
-    """
-    indexed: list = []
-    misses: dict[int, int] = {}
-    while len(indexed) < len(procs):
-        try:
-            indexed.append(out_queue.get(timeout=1.0))
-            continue
-        except queue_module.Empty:
-            pass
-        reported = {i for i, _ in indexed}
-        for i, proc in enumerate(procs):
-            if i in reported or proc.is_alive():
-                continue
-            if proc.exitcode != 0:
-                raise WorkerCrashedError(
-                    f"worker {i} died (exitcode {proc.exitcode}) "
-                    "without reporting a result"
-                ) from None
-            misses[i] = misses.get(i, 0) + 1
-            if misses[i] >= _CLEAN_EXIT_GRACE_POLLS:
-                raise WorkerCrashedError(
-                    f"worker {i} exited cleanly (exitcode 0) without "
-                    "reporting a result"
-                ) from None
-    return indexed
 
 
 class ParallelTriangleCounter:
@@ -171,22 +57,21 @@ class ParallelTriangleCounter:
         platform supports it). Results are bit-identical across
         transports.
     max_restarts:
-        Per-worker respawn budget. ``0`` (the default) keeps the legacy
-        fail-fast path; any other value routes the run through the
-        self-healing :class:`~repro.streaming.supervisor.ShardSupervisor`
-        (snapshots, bounded replay, restarts), bit-identical to an
-        uninterrupted run under a fixed seed.
+        Per-worker respawn budget. ``0`` (the default) fails the run on
+        the first worker death; any other value recovers crashed and
+        hung workers (snapshots, bounded replay, restarts),
+        bit-identical to an uninterrupted run under a fixed seed.
     worker_deadline:
         Seconds of no progress before a live-but-stuck worker is
-        treated as hung and recovered (``None`` disables the watchdog;
-        setting it implies the supervised path).
+        treated as hung (``None`` disables the watchdog).
     snapshot_every:
-        Supervised-path snapshot cadence in batches.
+        Snapshot cadence in batches when ``max_restarts > 0``.
     restart_backoff:
         First respawn delay, doubled per consecutive restart.
     fault_plan:
         A :class:`~repro.streaming.faults.FaultPlan` injected into the
-        run (implies the supervised path).
+        run (``None`` defers to the ``REPRO_FAULT_PLAN`` environment
+        plan).
     """
 
     def __init__(
@@ -208,37 +93,21 @@ class ParallelTriangleCounter:
             )
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if transport.strip().lower() not in ("auto", "shm", "queue"):
-            raise InvalidParameterError(
-                f"unknown transport {transport!r}; choose shm, queue, or auto"
-            )
-        if max_restarts < 0:
-            raise InvalidParameterError(
-                f"max_restarts must be >= 0, got {max_restarts}"
-            )
-        if worker_deadline is not None and worker_deadline <= 0:
-            raise InvalidParameterError(
-                f"worker_deadline must be positive, got {worker_deadline}"
-            )
+        self._executor = ShardExecutor(
+            transport,
+            Supervision(
+                max_restarts=max_restarts,
+                worker_deadline=worker_deadline,
+                snapshot_every=snapshot_every,
+                backoff=restart_backoff,
+            ),
+            fault_plan,
+        )
         self.num_estimators = num_estimators
         self.workers = min(workers, num_estimators)
         self.seed = seed
-        self.transport = transport
-        self.max_restarts = max_restarts
-        self.worker_deadline = worker_deadline
-        self.snapshot_every = snapshot_every
-        self.restart_backoff = restart_backoff
-        self.fault_plan = fault_plan
         self.last_restarts: list[int] = []
         self._merged: VectorizedTriangleCounter | None = None
-
-    @property
-    def _supervised(self) -> bool:
-        return (
-            self.max_restarts > 0
-            or self.worker_deadline is not None
-            or self.fault_plan is not None
-        )
 
     def _shard_sizes(self) -> list[int]:
         from ..streaming.sharded import shard_sizes
@@ -253,116 +122,28 @@ class ParallelTriangleCounter:
         ``EdgeSource``, or a one-shot generator (the stream is read
         exactly once either way).
         """
-        shards = self._shard_sizes()
         # workers + 1 children: one per worker pool plus a dedicated
         # child for the merged counter's fresh generator. Reusing the
         # root seed for the merged state would correlate its future
         # draws with the sequences the workers were spawned from.
         seed_seqs = np.random.SeedSequence(self.seed).spawn(self.workers + 1)
-        merged_seed_seq = seed_seqs[-1]
-        source = as_source(edges)
-
-        if self.workers == 1:
-            counter = VectorizedTriangleCounter(shards[0], seed=seed_seqs[0])
-            for batch in source.batches(batch_size):
-                counter.update_batch(batch)
-            states = [counter.state_dict()]
-        elif self._supervised:
-            from ..streaming.supervisor import (
-                CounterShardProgram,
-                ShardSupervisor,
-                Supervision,
+        programs = [
+            EstimatorShardProgram(
+                [{"name": "count", "num_estimators": size, "seed": seed_seq, "options": {}}]
             )
-
-            ctx = multiprocessing.get_context()
-            supervisor = ShardSupervisor(
-                ctx,
-                [
-                    CounterShardProgram(shards[i], seed_seqs[i])
-                    for i in range(self.workers)
-                ],
-                transport=self.transport,
-                batch_size=batch_size,
-                queue_depth=_QUEUE_DEPTH,
-                policy=Supervision(
-                    max_restarts=self.max_restarts,
-                    worker_deadline=self.worker_deadline,
-                    snapshot_every=self.snapshot_every,
-                    backoff=self.restart_backoff,
-                ),
-                fault_plan=self.fault_plan,
-            )
-            states = supervisor.run(source.batches(batch_size))
-            self.last_restarts = supervisor.restarts
-        else:
-            ctx = multiprocessing.get_context()
-            sender = BatchSender(
-                ctx,
-                transport=self.transport,
-                consumers=self.workers,
-                batch_size=batch_size,
-                queue_depth=_QUEUE_DEPTH,
-            )
-            in_queues = [ctx.Queue(maxsize=_QUEUE_DEPTH) for _ in range(self.workers)]
-            out_queue = ctx.Queue()
-            procs = [
-                ctx.Process(
-                    target=_worker_loop,
-                    args=(
-                        in_queues[i], out_queue, i, shards[i], seed_seqs[i],
-                        sender.client(i),
-                    ),
-                    daemon=True,
-                )
-                for i in range(self.workers)
-            ]
-            for proc in procs:
-                proc.start()
-            try:
-                try:
-                    for batch in source.batches(batch_size):
-                        # Columnar batches cross the process boundary
-                        # once: as a shared-memory descriptor when the
-                        # ring runs, else as a raw int64 array (pickled
-                        # as a flat buffer, far cheaper than a list of
-                        # Python tuples); workers rebuild the EdgeBatch
-                        # without re-validating.
-                        payload = sender.payload(
-                            batch, lambda: check_procs_alive(procs)
-                        )
-                        for i, queue in enumerate(in_queues):
-                            _put_alive(queue, payload, procs[i], i)
-                finally:
-                    # Always send the sentinel, even when the source
-                    # raises mid-stream -- workers block on get otherwise.
-                    # Best effort: a wedged queue is abandoned (its
-                    # worker is dead or will be terminated below).
-                    for queue in in_queues:
-                        try:
-                            queue.put(None, timeout=5.0)
-                        except queue_module.Full:  # pragma: no cover
-                            pass
-                indexed = _collect_results(out_queue, procs)
-            finally:
-                for proc in procs:
-                    proc.join(timeout=30)
-                    if proc.is_alive():  # pragma: no cover - defensive
-                        proc.terminate()
-                # After the join: frees the ring blocks (workers have
-                # detached) and removes every named segment even on the
-                # crash path.
-                sender.close()
-            states = []
-            for _, (status, payload, tb) in sorted(indexed):
-                if status == "error":
-                    if tb:
-                        payload.add_note(f"worker traceback:\n{tb}")
-                    raise payload
-                states.append(payload)
-
-        counters = [from_state_dict(s) for s in states]
-        self._merged = merge_counters(counters, seed=merged_seed_seq)
-        return self._merged.estimate()
+            for size, seed_seq in zip(self._shard_sizes(), seed_seqs)
+        ]
+        run = self._executor.run(programs, as_source(edges), batch_size=batch_size)
+        self.last_restarts = run.restarts
+        states = [worker_states["count"] for worker_states, _ in run.finals]
+        merged = VectorizedTriangleCounter(1, seed=seed_seqs[-1])
+        merged.load_state_dict({k: v for k, v in states[0].items() if k != "rng"})
+        for state in states[1:]:
+            shard = VectorizedTriangleCounter(1)
+            shard.load_state_dict(state)
+            merged.merge(shard)
+        self._merged = merged
+        return merged.estimate()
 
     @property
     def merged(self) -> VectorizedTriangleCounter:

@@ -72,8 +72,9 @@ __all__ = ["STATE_FIELDS", "VectorizedTriangleCounter"]
 
 #: The per-estimator state arrays, in checkpoint order. The single
 #: source of truth shared by :meth:`VectorizedTriangleCounter.state_dict`,
-#: :meth:`~VectorizedTriangleCounter.state_nbytes`, and
-#: :mod:`repro.core.checkpoint`'s restore/merge. The watch indexes are
+#: :meth:`~VectorizedTriangleCounter.state_nbytes`,
+#: :meth:`~VectorizedTriangleCounter.load_state_dict` and
+#: :meth:`~VectorizedTriangleCounter.merge`. The watch indexes are
 #: deliberately NOT here: they are derived state, rebuilt from these
 #: arrays after ``load_state_dict``/``merge``.
 STATE_FIELDS = (

@@ -21,9 +21,7 @@ on-disk format shared by every
 :meth:`~repro.streaming.pipeline.Pipeline.resume` drive this format;
 :class:`~repro.streaming.sharded.ShardedPipeline` ships the same state
 dicts across process boundaries and merges them through the protocol's
-``merge``. The legacy single-counter helpers in
-:mod:`repro.core.checkpoint` are thin wrappers over the protocol
-methods.
+``merge``.
 
 Writes are two-phase: the arrays member lands first, the manifest last
 (each via a temp file and ``os.replace``), so a crash mid-write never

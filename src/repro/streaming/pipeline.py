@@ -53,6 +53,7 @@ from .registry import ESTIMATORS, _default_report
 from .source import _COERCE_ERRORS, EdgeSource, as_source
 
 __all__ = [
+    "FanOut",
     "Pipeline",
     "PipelineReport",
     "PipelineSnapshot",
@@ -188,6 +189,74 @@ class PipelineSnapshot(PipelineReport):
             f"[batch {self.batches:,} | {self.edges:,} edges | "
             f"{self.seconds:.2f}s]{marker}{journal} {parts}"
         )
+
+
+class FanOut:
+    """One batch to every estimator: the step every stream driver shares.
+
+    :meth:`Pipeline._drive` and every shard worker
+    (:class:`~repro.streaming.supervisor.EstimatorShardProgram`) feed
+    their batches through here. :meth:`consume` runs the four steps in
+    order -- coerce to a columnar :class:`EdgeBatch`, refuse signed
+    batches for insert-only estimators, build the shared per-batch
+    index once, run each estimator's timed update (the prepared fast
+    path where it has one). The pipeline calls the steps one by one so
+    it can journal a batch between coercion and the index build.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[str, Any]]) -> None:
+        self.pairs = list(pairs)
+        self._fast = [getattr(est, "update_prepared", None) for _, est in self.pairs]
+        # Build the shared per-batch index only when some fast-path
+        # estimator actually reads it (a pure tuple consumer like the
+        # bulk engine sets uses_batch_context = False).
+        self._want_context = any(
+            fast is not None and getattr(est, "uses_batch_context", True)
+            for (_, est), fast in zip(self.pairs, self._fast)
+        )
+        self.insert_only = [
+            name
+            for name, est in self.pairs
+            if not getattr(est, "supports_deletions", False)
+        ]
+        self.timings = {name: 0.0 for name, _ in self.pairs}
+
+    def prepare(self, batch):
+        """``batch`` as an :class:`EdgeBatch`, or unchanged if it cannot be one."""
+        if not isinstance(batch, EdgeBatch):
+            try:
+                batch = EdgeBatch.from_edges(batch)
+            except _COERCE_ERRORS:
+                return batch
+        if self.insert_only and batch.signs is not None:
+            # Sources that cannot declare themselves signed up front
+            # (a generator of (u, v, sign) triples) are caught here,
+            # batch by batch.
+            raise InvalidParameterError(
+                "signed batch reached insert-only estimator(s) "
+                f"{self.insert_only}; deletions would be silently "
+                "counted as insertions"
+            )
+        return batch
+
+    def build_context(self, batch) -> None:
+        if self._want_context and isinstance(batch, EdgeBatch):
+            batch.context  # noqa: B018 -- build the shared index once
+
+    def update(self, batch) -> None:
+        prepared = isinstance(batch, EdgeBatch)
+        for (name, estimator), fast in zip(self.pairs, self._fast):
+            t0 = time.perf_counter()
+            if fast is not None and prepared:
+                fast(batch)
+            else:
+                estimator.update_batch(batch)
+            self.timings[name] += time.perf_counter() - t0
+
+    def consume(self, batch) -> None:
+        batch = self.prepare(batch)
+        self.build_context(batch)
+        self.update(batch)
 
 
 class Pipeline:
@@ -556,15 +625,11 @@ class Pipeline:
                 "be reloaded; call resume() again before running"
             )
         src: EdgeSource = as_source(source)
-        insert_only = [
-            name
-            for name, estimator in self._pairs
-            if not getattr(estimator, "supports_deletions", False)
-        ]
-        if getattr(src, "signed", False) and insert_only:
+        fanout = FanOut(self._pairs)
+        if getattr(src, "signed", False) and fanout.insert_only:
             raise InvalidParameterError(
                 "source is a signed (turnstile) stream, but estimator(s) "
-                f"{insert_only} are insert-only and would silently count "
+                f"{fanout.insert_only} are insert-only and would silently count "
                 "deletions as insertions; use deletion-capable estimators "
                 "('triest-fd', 'dynamic-sampler') for signed input"
             )
@@ -669,17 +734,6 @@ class Pipeline:
                     journal_writer.close()
                 raise
 
-        fast_paths = [
-            getattr(estimator, "update_prepared", None)
-            for _, estimator in self._pairs
-        ]
-        # Build the shared per-batch index only when some fast-path
-        # estimator actually reads it (a pure tuple consumer like the
-        # bulk engine sets uses_batch_context = False).
-        want_context = any(
-            fast is not None and getattr(estimator, "uses_batch_context", True)
-            for (_, estimator), fast in zip(self._pairs, fast_paths)
-        )
         return {
             "src": src,
             "batch_size": batch_size,
@@ -687,10 +741,8 @@ class Pipeline:
             "remaining": remaining,
             "base_edges": base_edges,
             "base_batches": base_batches,
-            "fast_paths": fast_paths,
-            "want_context": want_context,
+            "fanout": fanout,
             "checkpoint_signal": checkpoint_signal,
-            "insert_only": insert_only,
             "journal": journal_writer,
             "journal_replay": journal_replay,
             "journal_resume": journal_resume,
@@ -722,13 +774,10 @@ class Pipeline:
         batch_size = state["batch_size"]
         base_edges = state["base_edges"]
         base_batches = state["base_batches"]
-        fast_paths = state["fast_paths"]
-        want_context = state["want_context"]
+        fanout = state["fanout"]
         checkpoint_signal = state["checkpoint_signal"]
-        insert_only = state["insert_only"]
         journal = state["journal"]
         journal_replay = state["journal_replay"]
-        timings = {name: 0.0 for name, _ in self._pairs}
         edges = 0
         batches = 0
         io_seconds = 0.0
@@ -756,7 +805,7 @@ class Pipeline:
                 estimators=[
                     EstimatorReport(
                         name=name,
-                        seconds=timings[name],
+                        seconds=fanout.timings[name],
                         results=self._reporter_for(name, live=not final)(estimator),
                     )
                     for name, estimator in self._pairs
@@ -830,56 +879,28 @@ class Pipeline:
                         io_seconds += time.perf_counter() - t0
                         break
                     batch, journal_position, fresh = item
-                    if isinstance(batch, EdgeBatch):
-                        prepared = batch
-                    else:
-                        try:
-                            prepared = EdgeBatch.from_edges(batch)
-                        except _COERCE_ERRORS:
-                            prepared = None
-                    if (
-                        insert_only
-                        and prepared is not None
-                        and prepared.signs is not None
-                    ):
-                        # Sources that cannot declare themselves signed
-                        # up front (a generator of (u, v, sign) triples)
-                        # are caught here, batch by batch.
-                        raise InvalidParameterError(
-                            "signed batch reached insert-only estimator(s) "
-                            f"{insert_only}; deletions would be silently "
-                            "counted as insertions"
-                        )
+                    batch = fanout.prepare(batch)
                     if journal is not None and fresh:
                         # Append-before-deliver: the record is on disk
                         # (and flushed) before any estimator sees the
                         # batch, so a kill cannot lose delivered edges.
-                        if prepared is None:
+                        if not isinstance(batch, EdgeBatch):
                             raise InvalidParameterError(
                                 "journaling requires columnar batches; the "
                                 "source yielded edges EdgeBatch cannot "
                                 "represent"
                             )
-                        journal_position = journal.append(prepared)
+                        journal_position = journal.append(batch)
                     if journal_position is not None:
                         self._progress["journal"] = {
                             "segment": journal_position[0],
                             "offset": journal_position[1],
                         }
-                    if prepared is not None and want_context:
-                        prepared.context  # noqa: B018 -- build the shared index once
+                    fanout.build_context(batch)
                     io_seconds += time.perf_counter() - t0
                     batches += 1
                     edges += len(batch)
-                    for (name, estimator), fast in zip(self._pairs, fast_paths):
-                        t1 = time.perf_counter()
-                        if fast is not None and prepared is not None:
-                            fast(prepared)
-                        else:
-                            estimator.update_batch(
-                                batch if prepared is None else prepared
-                            )
-                        timings[name] += time.perf_counter() - t1
+                    fanout.update(batch)
                     self._progress["edges_seen"] = base_edges + edges
                     self._progress["batches"] = base_batches + batches
                     global_batch = base_batches + batches

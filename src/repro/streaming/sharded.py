@@ -8,16 +8,17 @@ end (the contract :class:`~repro.streaming.protocol.CheckpointableEstimator`
 makes first-class -- the same "independent sub-estimators over one
 stream" structure Pagh-Tsourakakis colorful sharding exploits).
 
-:class:`ShardedPipeline` generalizes the counter-only
-:class:`~repro.core.parallel.ParallelTriangleCounter` to the whole
-estimator registry: the parent reads the stream **once** through an
-:class:`~repro.streaming.source.EdgeSource` and fans each columnar
-batch out to every worker's bounded queue; each worker runs its shard
-of every requested estimator (built by name from
-:data:`~repro.streaming.registry.ESTIMATORS`) and ships the state
-dicts back; the parent restores them through ``load_state_dict`` and
-concatenates through ``merge``, producing estimators that answer
-queries exactly as a single-process pool of the same total size would.
+:class:`ShardedPipeline` shards the whole estimator registry: it
+plans one :class:`~repro.streaming.supervisor.EstimatorShardProgram`
+per worker (its shard of every requested estimator, built by name from
+:data:`~repro.streaming.registry.ESTIMATORS`) and hands the plan to the
+one multiprocess executor,
+:class:`~repro.streaming.supervisor.ShardExecutor`, which reads the
+stream **once** and fans each columnar batch out to every worker. The
+workers ship their state dicts back; the parent restores them through
+``load_state_dict`` and concatenates through ``merge``, producing
+estimators that answer queries exactly as a single-process pool of the
+same total size would.
 
 Seed semantics: worker ``w``'s shard of estimator ``name`` is seeded
 from ``SeedSequence([seed, crc32(name), SHARD_DOMAIN, w + 1])`` (see
@@ -36,22 +37,22 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .batch import EdgeBatch
-from .journal import DEFAULT_SEGMENT_BYTES, JournalWriter
+from .journal import DEFAULT_SEGMENT_BYTES
 from .pipeline import EstimatorReport, PipelineReport
 from .registry import ESTIMATORS, _default_report
-from .shm import BatchSender, TransportFeed, check_procs_alive
 from .source import as_source
+from .supervisor import (
+    EstimatorShardProgram,
+    ShardExecutor,
+    Supervision,
+)
 
 __all__ = ["ShardedPipeline", "derive_shard_seed", "shard_sizes"]
-
-#: Batches in flight per worker queue (see ``core.parallel``).
-_QUEUE_DEPTH = 4
 
 #: Domain-separation key for shard seeds. SeedSequence zero-pads its
 #: entropy, so ``[seed, crc, 0]`` would collide with the single-process
@@ -91,143 +92,6 @@ def derive_shard_seed(seed: int | None, name: str, worker: int) -> int | None:
     return int(entropy.generate_state(1, np.uint32)[0])
 
 
-def _build_estimators(specs: Sequence[Mapping[str, Any]]) -> list[tuple[str, Any]]:
-    """Instantiate one worker's shard of every assigned estimator."""
-    pairs = []
-    for spec in specs:
-        registered = ESTIMATORS.get(spec["name"])
-        estimator = registered.create(
-            spec["num_estimators"], spec["seed"], **spec["options"]
-        )
-        pairs.append((spec["name"], estimator))
-    return pairs
-
-
-def _consume(
-    pairs: Sequence[tuple[str, Any]], batches: Iterable
-) -> tuple[int, int, dict[str, float]]:
-    """Feed ``batches`` to every estimator (the worker-side stream loop).
-
-    The same dispatch as :meth:`~repro.streaming.pipeline.Pipeline.run`
-    -- shared prepared batch, shared per-batch index (with the
-    unique-vertex/edge-key views the output-sensitive engines intersect
-    against their watch indexes, one precomputation for the whole
-    worker pool), per-estimator timings -- minus reporting: workers
-    ship state, never results, so reporters that consume randomness
-    (e.g. the sampler's release draw) only ever run on the merged
-    estimators in the parent.
-    """
-    fast_paths = [getattr(est, "update_prepared", None) for _, est in pairs]
-    want_context = any(
-        fast is not None and getattr(est, "uses_batch_context", True)
-        for (_, est), fast in zip(pairs, fast_paths)
-    )
-    insert_only = [
-        name
-        for name, est in pairs
-        if not getattr(est, "supports_deletions", False)
-    ]
-    timings = {name: 0.0 for name, _ in pairs}
-    edges = 0
-    batch_count = 0
-    for batch in batches:
-        if isinstance(batch, np.ndarray):
-            batch = EdgeBatch.from_wire(batch)
-        prepared = batch if isinstance(batch, EdgeBatch) else None
-        if (
-            insert_only
-            and prepared is not None
-            and prepared.signs is not None
-        ):
-            raise InvalidParameterError(
-                "signed batch reached insert-only estimator(s) "
-                f"{insert_only}; deletions would be silently counted "
-                "as insertions"
-            )
-        if prepared is not None and want_context:
-            prepared.context  # noqa: B018 -- build the shared index once
-        edges += len(batch)
-        batch_count += 1
-        for (name, estimator), fast in zip(pairs, fast_paths):
-            t0 = time.perf_counter()
-            if fast is not None and prepared is not None:
-                fast(prepared)
-            else:
-                estimator.update_batch(batch)
-            timings[name] += time.perf_counter() - t0
-    return edges, batch_count, timings
-
-
-def _journaled(batches: Iterable, journal: JournalWriter) -> Iterable:
-    """Append every batch to ``journal`` before it fans out to workers.
-
-    The sharded analogue of the single-process pipeline's
-    append-before-deliver: a batch is durably journaled before any
-    worker queue (or the supervisor's replay window) sees it, so the
-    journal is always a superset of what the workers consumed.
-    """
-    for batch in batches:
-        if not isinstance(batch, EdgeBatch):
-            raise InvalidParameterError(
-                "journaling requires columnar batches; the source yielded "
-                f"{type(batch).__name__}"
-            )
-        journal.append(batch)
-        yield batch
-
-
-def _timed_pulls(batches: Iterable, elapsed: list) -> Iterable:
-    """Yield from ``batches``, adding each pull's wall time to ``elapsed[0]``.
-
-    Wraps the parent's one stream read (journal appends included), so
-    a sharded report's ``io_seconds`` is the same stream-side share a
-    single-process :class:`~repro.streaming.pipeline.Pipeline` reports.
-    """
-    it = iter(batches)
-    while True:
-        t0 = time.perf_counter()
-        batch = next(it, None)
-        elapsed[0] += time.perf_counter() - t0
-        if batch is None:
-            return
-        yield batch
-
-
-def _worker_loop(in_queue, out_queue, index: int, specs, shm_client=None) -> None:
-    """Process one worker's shards; ship back ``{name: state_dict}``.
-
-    Mirrors ``core.parallel._worker_loop``: on an exception the input
-    queue is drained to its sentinel first (the parent writes to
-    bounded queues, and shared-memory descriptors must have their ring
-    slots released), and the error ships back in the state's place.
-    The original traceback text always rides along as the result's
-    third element -- ``format_exc`` is captured *before* the pickle
-    probe, so even an unpicklable exception reports its own failure
-    site rather than the pickling error's.
-    """
-    import pickle
-    import traceback
-
-    feed = TransportFeed(in_queue, shm_client)
-    try:
-        pairs = _build_estimators(specs)
-        _, _, timings = _consume(pairs, feed)
-        states = {name: est.state_dict() for name, est in pairs}
-        result = ("ok", states, timings)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        feed.drain()
-        try:
-            pickle.dumps(exc)
-            result = ("error", exc, tb)
-        except Exception:  # pragma: no cover - unpicklable exception
-            result = ("error", RuntimeError(tb), tb)
-    finally:
-        if shm_client is not None:
-            shm_client.close()
-    out_queue.put((index, result))
-
-
 class ShardedPipeline:
     """Fan one stream read out to sharded pools across worker processes.
 
@@ -253,34 +117,31 @@ class ShardedPipeline:
         or ``"auto"`` (shm when the platform supports it). Results are
         bit-identical across transports.
     max_restarts:
-        Per-worker respawn budget. ``0`` (the default) keeps the legacy
-        fail-fast path: a dead worker aborts the run. Any other value
-        routes the run through the self-healing
-        :class:`~repro.streaming.supervisor.ShardSupervisor` --
-        snapshots, bounded replay, restarts -- and stays bit-identical
-        to an uninterrupted run under a fixed seed.
+        Per-worker respawn budget. ``0`` (the default) fails the run on
+        the first worker death; any other value recovers crashed and
+        hung workers (snapshots, bounded replay, restarts), bit-identical
+        to an uninterrupted run under a fixed seed. Either way the run
+        goes through :class:`~repro.streaming.supervisor.ShardExecutor`.
     worker_deadline:
         Seconds of no progress before a live-but-stuck worker is
-        treated as hung and recovered (``None`` disables the watchdog).
-        Setting it implies the supervised path.
+        treated as hung (``None`` disables the watchdog).
     snapshot_every:
-        Supervised-path snapshot cadence in batches (bounds the replay
-        window recovery must re-feed).
+        Snapshot cadence in batches when ``max_restarts > 0`` (bounds
+        the replay window recovery must re-feed).
     restart_backoff:
         First respawn delay in seconds, doubled per consecutive restart
         of the same worker.
     replay_window:
-        Cap on the supervised path's in-memory replay buffer, in
-        batches. Only honored when the run is journaled (``run`` with
-        ``journal_dir``): excess batches are dropped from memory and
-        recovery re-reads them from the journal. ``None`` (the
-        default) keeps the buffer unbounded, the only safe choice
-        without a journal to fall back on.
+        Cap on the in-memory replay buffer, in batches. Only honored
+        when the run is journaled (``run`` with ``journal_dir``):
+        excess batches are dropped from memory and recovery re-reads
+        them from the journal. ``None`` (the default) keeps the buffer
+        unbounded, the only safe choice without a journal to fall back
+        on.
     fault_plan:
         A :class:`~repro.streaming.faults.FaultPlan` injected into the
-        run (tests and chaos drills); implies the supervised path.
-        ``None`` defers to the ``REPRO_FAULT_PLAN`` environment plan,
-        which does *not* by itself change the execution path.
+        run (tests and chaos drills). ``None`` defers to the
+        ``REPRO_FAULT_PLAN`` environment plan.
     """
 
     def __init__(
@@ -308,47 +169,23 @@ class ShardedPipeline:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         for name in self.names:
             ESTIMATORS.get(name)  # fail fast on unknown names
-        if transport.strip().lower() not in ("auto", "shm", "queue"):
-            raise InvalidParameterError(
-                f"unknown transport {transport!r}; choose shm, queue, or auto"
-            )
-        if max_restarts < 0:
-            raise InvalidParameterError(
-                f"max_restarts must be >= 0, got {max_restarts}"
-            )
-        if worker_deadline is not None and worker_deadline <= 0:
-            raise InvalidParameterError(
-                f"worker_deadline must be positive, got {worker_deadline}"
-            )
-        if snapshot_every < 0:
-            raise InvalidParameterError(
-                f"snapshot_every must be >= 0, got {snapshot_every}"
-            )
-        if replay_window is not None and replay_window < 0:
-            raise InvalidParameterError(
-                f"replay_window must be >= 0, got {replay_window}"
-            )
+        self._executor = ShardExecutor(
+            transport,
+            Supervision(
+                max_restarts=max_restarts,
+                worker_deadline=worker_deadline,
+                snapshot_every=snapshot_every,
+                backoff=restart_backoff,
+                replay_window=replay_window,
+            ),
+            fault_plan,
+        )
         self.workers = workers
         self.num_estimators = num_estimators
         self.seed = seed
-        self.transport = transport
-        self.max_restarts = max_restarts
-        self.worker_deadline = worker_deadline
-        self.snapshot_every = snapshot_every
-        self.restart_backoff = restart_backoff
-        self.replay_window = replay_window
-        self.fault_plan = fault_plan
         self.last_restarts: list[int] = []
         self._options = {k: dict(v) for k, v in (options or {}).items()}
         self._merged: list[tuple[str, Any]] | None = None
-
-    @property
-    def _supervised(self) -> bool:
-        return (
-            self.max_restarts > 0
-            or self.worker_deadline is not None
-            or self.fault_plan is not None
-        )
 
     # ------------------------------------------------------------------
     # plan
@@ -412,9 +249,8 @@ class ShardedPipeline:
         ``journal_dir`` arms the durable ingest journal: the parent
         appends every batch *before* fanning it out, so the on-disk
         journal is always a superset of what any worker consumed, and
-        the supervised path can cap its in-memory replay window
-        (``replay_window``) by re-reading dropped batches from disk
-        during recovery.
+        recovery can cap its in-memory replay window
+        (``replay_window``) by re-reading dropped batches from disk.
         """
         specs = self.worker_specs()
         source = as_source(source)
@@ -454,184 +290,37 @@ class ShardedPipeline:
                 "deletions as insertions; use deletion-capable estimators "
                 "('triest-fd', 'dynamic-sampler') for signed input"
             )
-        journal = None
-        if journal_dir is not None:
-            journal = JournalWriter(
-                journal_dir,
-                fsync=journal_fsync,
-                max_segment_bytes=journal_max_segment,
-            )
-        io_seconds = [0.0]
         start = time.perf_counter()
-        try:
-            stream = source.batches(batch_size)
-            if journal is not None:
-                stream = _journaled(stream, journal)
-            stream = _timed_pulls(stream, io_seconds)
-            if self.workers == 1:
-                pairs = _build_estimators(specs[0])
-                edges, batches, timings = _consume(pairs, stream)
-                merged_pairs = pairs
-                merged_timings = timings
-            else:
-                if self._supervised:
-                    runner = self._run_supervised
-                else:
-                    runner = self._run_workers
-                edges, batches, worker_states, worker_timings = runner(
-                    specs, stream, batch_size, journal
-                )
-                merged_pairs = self._merge_states(worker_states)
-                merged_timings = {
-                    name: max(
-                        (t.get(name, 0.0) for t in worker_timings), default=0.0
-                    )
-                    for name in self.names
-                }
-        finally:
-            if journal is not None:
-                journal.close()
+        run = self._executor.run(
+            [EstimatorShardProgram(worker) for worker in specs],
+            source,
+            batch_size=batch_size,
+            journal_dir=journal_dir,
+            journal_fsync=journal_fsync,
+            journal_max_segment=journal_max_segment,
+        )
+        self.last_restarts = run.restarts
+        worker_states = [states for states, _ in run.finals]
+        merged_pairs = self._merge_states(worker_states)
         self._merged = merged_pairs
-        total = time.perf_counter() - start
         report = PipelineReport(
-            edges=edges, batches=batches, seconds=total, io_seconds=io_seconds[0]
+            edges=run.edges,
+            batches=run.batches,
+            seconds=time.perf_counter() - start,
+            io_seconds=run.io_seconds,
         )
         for name, estimator in merged_pairs:
             reporter = (
                 ESTIMATORS.get(name).report if name in ESTIMATORS else _default_report
             )
+            # The parallel wall-clock share: the slowest worker's time.
+            seconds = max(timings.get(name, 0.0) for _, timings in run.finals)
             report.estimators.append(
                 EstimatorReport(
-                    name=name,
-                    seconds=merged_timings.get(name, 0.0),
-                    results=reporter(estimator),
+                    name=name, seconds=seconds, results=reporter(estimator)
                 )
             )
         return report
-
-    def _run_workers(self, specs, stream, batch_size, journal=None):
-        """The multiprocess path: bounded queues, one stream read.
-
-        ``journal`` is unused here -- appends already happened upstream
-        in the :func:`_journaled` wrapper around ``stream`` -- but rides
-        the shared runner signature with :meth:`_run_supervised`, which
-        needs the writer for recovery.
-        """
-        import multiprocessing
-        import queue as queue_module
-
-        from ..core.parallel import _collect_results, _put_alive
-
-        ctx = multiprocessing.get_context()
-        sender = BatchSender(
-            ctx,
-            transport=self.transport,
-            consumers=self.workers,
-            batch_size=batch_size,
-            queue_depth=_QUEUE_DEPTH,
-        )
-        in_queues = [ctx.Queue(maxsize=_QUEUE_DEPTH) for _ in range(self.workers)]
-        out_queue = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_loop,
-                args=(in_queues[i], out_queue, i, specs[i], sender.client(i)),
-                daemon=True,
-            )
-            for i in range(self.workers)
-        ]
-        for proc in procs:
-            proc.start()
-        edges = 0
-        batches = 0
-        try:
-            try:
-                for batch in stream:
-                    payload = sender.payload(
-                        batch, lambda: check_procs_alive(procs)
-                    )
-                    edges += len(batch)
-                    batches += 1
-                    for i, queue in enumerate(in_queues):
-                        _put_alive(queue, payload, procs[i], i)
-            finally:
-                # Always send the sentinel, even when the source raises
-                # mid-stream -- workers block on get otherwise.
-                for queue in in_queues:
-                    try:
-                        queue.put(None, timeout=5.0)
-                    except queue_module.Full:  # pragma: no cover
-                        pass
-            indexed = _collect_results(out_queue, procs)
-        finally:
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-            # After the join: unlinking frees the blocks only once the
-            # last worker detaches, and a crash path (terminate above)
-            # must still remove every named segment.
-            sender.close()
-        worker_states: list[dict] = []
-        worker_timings: list[dict] = []
-        for _, result in sorted(indexed):
-            status, payload, extra = result
-            if status == "error":
-                if extra:
-                    payload.add_note(f"worker traceback:\n{extra}")
-                raise payload
-            worker_states.append(payload)
-            worker_timings.append(extra)
-        return edges, batches, worker_states, worker_timings
-
-    def _run_supervised(self, specs, stream, batch_size, journal=None):
-        """The self-healing path: snapshots, replay, bounded respawns.
-
-        Same contract as :meth:`_run_workers` -- one stream read, the
-        same merged result bit for bit -- but worker crashes and hangs
-        are recovered (up to ``max_restarts`` each) instead of aborting
-        the run. With a ``journal``, the supervisor's replay window may
-        be capped (``replay_window``): catch-up re-reads the dropped
-        prefix from disk. See :mod:`repro.streaming.supervisor`.
-        """
-        import multiprocessing
-
-        from .supervisor import (
-            EstimatorShardProgram,
-            ShardSupervisor,
-            Supervision,
-        )
-
-        ctx = multiprocessing.get_context()
-        supervisor = ShardSupervisor(
-            ctx,
-            [EstimatorShardProgram(spec) for spec in specs],
-            transport=self.transport,
-            batch_size=batch_size,
-            queue_depth=_QUEUE_DEPTH,
-            policy=Supervision(
-                max_restarts=self.max_restarts,
-                worker_deadline=self.worker_deadline,
-                snapshot_every=self.snapshot_every,
-                backoff=self.restart_backoff,
-                replay_window=self.replay_window,
-            ),
-            fault_plan=self.fault_plan,
-            journal=journal,
-        )
-        counts = [0, 0]
-
-        def counted(batches):
-            for batch in batches:
-                counts[0] += len(batch)
-                counts[1] += 1
-                yield batch
-
-        finals = supervisor.run(counted(stream))
-        self.last_restarts = supervisor.restarts
-        worker_states = [states for states, _ in finals]
-        worker_timings = [timings for _, timings in finals]
-        return counts[0], counts[1], worker_states, worker_timings
 
     def _merge_states(self, worker_states: list[dict]) -> list[tuple[str, Any]]:
         """Restore worker shards and concatenate them per estimator."""

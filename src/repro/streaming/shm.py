@@ -1,7 +1,8 @@
 """Zero-copy shard transport over ``multiprocessing.shared_memory``.
 
-Both multiprocess paths (:class:`~repro.streaming.sharded.ShardedPipeline`
-and :class:`~repro.core.parallel.ParallelTriangleCounter`) broadcast
+The shard executor (:class:`~repro.streaming.supervisor.ShardSupervisor`,
+behind both :class:`~repro.streaming.sharded.ShardedPipeline` and
+:class:`~repro.core.parallel.ParallelTriangleCounter`) broadcasts
 every batch to every worker. Over pickled queues that costs ``workers``
 serialized copies of the same ``(w, 2)`` int64 array per batch -- at
 paper-scale batch sizes the dominant parent-side cost, and the reason
@@ -30,12 +31,12 @@ Pieces, parent to worker:
   ring);
 - :class:`TransportFeed` -- the worker-side queue iterator: yields
   ``EdgeBatch`` for descriptors (releasing each block as soon as the
-  consumer moves on) and raw arrays alike, so worker loops are
+  consumer moves on) and raw arrays alike, so the worker loop is
   transport-agnostic;
 - :class:`BatchSender` -- the parent-side policy object: resolves
-  ``transport="auto"|"shm"|"queue"``, owns the ring, and falls back to
-  the pickled payload per batch (odd sizes) or wholesale (no shm on
-  the platform -- see :func:`shm_available`).
+  ``transport="auto"|"shm"|"queue"``, owns the ring, and leaves the
+  caller the pickled payload per batch (odd sizes) or wholesale (no
+  shm on the platform -- see :func:`shm_available`).
 
 **Lifecycle contract.** A block is reused the moment its refcount
 returns to 0, so consumers must not retain references into a batch
@@ -44,9 +45,9 @@ after advancing the feed past it -- the engines already honor this
 with the batch). Cleanup is parent-side and crash-safe: every segment
 is unlinked in :meth:`ShmRing.close`, which runs in the run's
 ``finally`` *and* via ``atexit``; a worker killed mid-batch leaves only
-refcounts behind, which the parent's liveness callback turns into
-:class:`~repro.errors.WorkerCrashedError` instead of a hung wait, and
-the unlink still proceeds. Worker attachments auto-register with the
+refcounts behind, which the parent's liveness callback turns into a
+crash report (or a recovery) instead of a hung wait, and the unlink
+still proceeds. Worker attachments auto-register with the
 ``resource_tracker`` (bpo-38119), which is harmless here: children
 share the parent's tracker process, so the register is a set re-add of
 the parent's own entry, cleared once by the parent's unlink.
@@ -65,7 +66,7 @@ import secrets
 
 import numpy as np
 
-from ..errors import InvalidParameterError, WorkerCrashedError
+from ..errors import InvalidParameterError
 from .batch import EdgeBatch
 
 __all__ = [
@@ -73,6 +74,7 @@ __all__ = [
     "ShmRing",
     "ShmRingClient",
     "TransportFeed",
+    "check_transport",
     "resolve_transport",
     "shm_available",
 ]
@@ -119,6 +121,16 @@ def shm_available() -> bool:
 _SHM_AVAILABLE: bool | None = None
 
 
+def check_transport(transport: str) -> str:
+    """Normalize a transport name; raise on anything but shm/queue/auto."""
+    name = transport.strip().lower()
+    if name not in ("auto", "shm", "queue"):
+        raise InvalidParameterError(
+            f"unknown transport {name!r}; choose shm, queue, or auto"
+        )
+    return name
+
+
 def resolve_transport(transport: str) -> str:
     """Resolve a requested transport to ``"shm"`` or ``"queue"``.
 
@@ -126,13 +138,9 @@ def resolve_transport(transport: str) -> str:
     ``shm`` request raises there instead, mirroring the kernel
     backend's selection contract.
     """
-    name = transport.strip().lower()
+    name = check_transport(transport)
     if name == "auto":
         return "shm" if shm_available() else "queue"
-    if name not in ("shm", "queue"):
-        raise InvalidParameterError(
-            f"unknown transport {name!r}; choose shm, queue, or auto"
-        )
     if name == "shm" and not shm_available():
         raise InvalidParameterError(
             "transport 'shm' requested but shared memory is unavailable "
@@ -298,10 +306,9 @@ class ShmRing:
         batch cannot ride the ring (wrong dtype/shape or larger than a
         block) -- the caller falls back to the pickled payload for that
         batch. Blocks until a slot frees up; every second of waiting
-        invokes ``alive`` (if given), whose job is to raise
-        :class:`~repro.errors.WorkerCrashedError` when a consumer died
-        holding references, turning a would-be deadlock into the
-        standard crash report.
+        invokes ``alive`` (if given), whose job is to raise when a
+        consumer died holding references, turning a would-be deadlock
+        into the standard crash handling.
         """
         if (
             array.dtype != np.int64
@@ -376,20 +383,15 @@ class ShmRing:
 class TransportFeed:
     """Iterate a worker's input queue until the ``None`` sentinel.
 
-    Transport-agnostic successor of the queue-only feed: shared-memory
-    descriptors come back as zero-copy :class:`EdgeBatch` views
-    (released as soon as the consumer advances past them), raw arrays
-    as plain batches, anything else (tuple lists) verbatim. Tracks
-    sentinel consumption so the error path knows whether
-    :meth:`drain` still owes the parent queue space -- and drain
-    releases any descriptors it swallows, so a worker failing mid-run
-    never strands ring slots.
+    Shared-memory descriptors come back as zero-copy :class:`EdgeBatch`
+    views (released as soon as the consumer advances past them), raw
+    arrays as plain batches, anything else (tuple lists, control
+    tuples) verbatim.
     """
 
     def __init__(self, queue, client: ShmRingClient | None = None) -> None:
         self._queue = queue
         self._client = client
-        self.finished = False
 
     def _is_descriptor(self, item) -> bool:
         return (
@@ -402,7 +404,6 @@ class TransportFeed:
         while True:
             item = self._queue.get()
             if item is None:
-                self.finished = True
                 return
             if self._is_descriptor(item):
                 if self._client is None:  # pragma: no cover - protocol bug
@@ -424,26 +425,13 @@ class TransportFeed:
             else:
                 yield item
 
-    def drain(self) -> None:
-        """Consume to the sentinel, releasing any ring slots en route."""
-        if self.finished:
-            return
-        while True:
-            item = self._queue.get()
-            if item is None:
-                break
-            if self._is_descriptor(item) and self._client is not None:
-                self._client.release(item[1])
-        self.finished = True
-
 
 class BatchSender:
     """Parent-side transport policy: ring when possible, pickle otherwise.
 
-    One instance per multiprocess run. ``payload(batch, alive)`` maps
-    each stream batch to what goes on the worker queues -- a descriptor
-    when the ring takes it, the raw array or tuple list when not -- so
-    the calling loop is identical under every transport.
+    One instance per multiprocess run. Each stream batch goes on the
+    worker queues as a ring :meth:`descriptor` when the ring takes it,
+    else as its :meth:`raw` pickled payload (the array or tuple list).
     """
 
     def __init__(
@@ -478,26 +466,14 @@ class BatchSender:
         """Worker ``consumer``'s handle (``None`` on the queue path)."""
         return self._ring.client(consumer) if self._ring is not None else None
 
-    def payload(self, batch, alive=None, consumers=None):
-        """What to enqueue for ``batch`` under the active transport."""
-        if isinstance(batch, EdgeBatch):
-            if self._ring is not None:
-                # A signed batch's wire form is (w, 3), which the ring
-                # declines by shape: turnstile batches automatically
-                # ride the pickled fallback, leaving the zero-copy
-                # fast path insert-only and untouched.
-                descriptor = self._ring.send(batch.wire, alive, consumers)
-                if descriptor is not None:
-                    return descriptor
-            return batch.wire
-        return list(batch)
-
     def descriptor(self, batch, alive=None, consumers=None):
         """A ring descriptor for ``batch``, or ``None`` (no fallback).
 
-        The supervised send loop needs the two payload kinds kept
-        apart: a descriptor is enqueued only to the workers it was
-        stamped for, everyone else gets :meth:`raw`.
+        A descriptor is enqueued only to the workers it was stamped
+        for, everyone else gets :meth:`raw`. A signed batch's wire form
+        is ``(w, 3)``, which the ring declines by shape: turnstile
+        batches ride the pickled payload, leaving the zero-copy path
+        insert-only and untouched.
         """
         if self._ring is None or not isinstance(batch, EdgeBatch):
             return None
@@ -517,17 +493,3 @@ class BatchSender:
         if self._ring is not None:
             self._ring.close()
 
-
-def check_procs_alive(procs) -> None:
-    """Raise :class:`WorkerCrashedError` if any worker process died.
-
-    The liveness callback handed to :meth:`ShmRing.send`: a dead
-    consumer can never return its ring references, so a parent blocked
-    on a full ring must fail the run like the queue path does.
-    """
-    for i, proc in enumerate(procs):
-        if not proc.is_alive():
-            raise WorkerCrashedError(
-                f"worker {i} died (exitcode {proc.exitcode}) "
-                "without reporting a result"
-            ) from None

@@ -1,47 +1,55 @@
-"""Self-healing supervision for the multiprocess shard runners.
+"""The one multiprocess executor: supervised shard workers.
 
 The estimator dimension is embarrassingly parallel *and* bit-exactly
-checkpointable, which makes per-shard recovery natural: a worker's
-whole contribution to a run is its shard state, a pure function of
-(build plan, batches consumed). The supervisor exploits that to turn
-:class:`~repro.streaming.sharded.ShardedPipeline` and
-:class:`~repro.core.parallel.ParallelTriangleCounter` runs into
-executions that survive worker crashes and hangs without losing bit
-identity:
+checkpointable: a worker's whole contribution to a run is its shard
+state, a pure function of (build plan, batches consumed). Both
+multiprocess front-ends -- :class:`~repro.streaming.sharded.ShardedPipeline`
+and :class:`~repro.core.parallel.ParallelTriangleCounter` -- hand
+:class:`ShardExecutor` one :class:`EstimatorShardProgram` per worker;
+the executor reads the stream once and, for more than one program,
+drives them through :class:`ShardSupervisor`, the only place a worker
+process is spawned. ``max_restarts`` selects what a worker failure
+does:
 
-- **Snapshots.** Every ``snapshot_every`` batches the parent emits a
-  ``sync`` control message down each worker queue; each worker replies
-  with its shard's ``state_dict`` once the message surfaces behind the
-  batches before it, so the collected snapshot is exactly the state at
-  that batch boundary. The parent keeps the raw payload of every batch
-  since the last completed snapshot (a bounded replay window). When the
-  run is journaled (``ShardedPipeline.run(journal_dir=...)``), the
-  in-memory window may additionally be capped
-  (:attr:`Supervision.replay_window`): evicted batches are re-read
-  from the durable journal during catch-up instead of held in RAM.
-- **Detection.** A dead worker is noticed at the next queue ``put``,
-  ring wait, sync barrier, or result wait (liveness polls); a *hung*
-  worker -- alive but not consuming -- is caught by the optional
-  ``worker_deadline`` watchdog on put progress and barrier waits.
-- **Recovery.** The failed incarnation is killed and fully excised:
-  its input queue is discarded wholesale (a fresh queue replaces it)
-  and every shared-memory reference it held is revoked
-  (:meth:`~repro.streaming.shm.ShmRing.revoke` -- idempotent flag
-  clears, safe at any kill instant). A fresh incarnation is spawned
-  after exponential backoff, restored from the snapshot, and fed the
-  replay window -- raw arrays, never recycled ring slots -- so it
-  rejoins the run in the exact state the dead worker should have had.
-  Restore-plus-replay reconstructs the worker's state deterministically,
-  so the final merged report is bit-identical to an uninterrupted run.
-- **Attribution.** Crashes whose traceback implicates a layer degrade
-  it for the respawn: shared-memory errors (or repeated crashes) move
-  that worker to pickled queue payloads, numba errors pin the respawn
-  to the numpy backend (bit-identical by the backend contract).
-- **Bounded retries.** Each worker gets ``max_restarts`` respawns;
-  past that the run fails with
-  :class:`~repro.errors.RetryExhaustedError` carrying the last worker
-  traceback. Every respawn emits a
-  :class:`~repro.errors.WorkerRestartedWarning`.
+- **0 -- fail fast.** The first failure ends the run: a worker's
+  Python exception is re-raised as its own type (with a
+  ``worker traceback`` note), a worker that dies or hangs without
+  reporting raises :class:`~repro.errors.WorkerCrashedError`. No sync
+  barriers are sent and no replay window is kept, since no respawn
+  could use them.
+- **> 0 -- self-healing**, bit-identical to an uninterrupted run:
+
+  - *Snapshots.* Every ``snapshot_every`` batches the parent emits a
+    ``sync`` control message down each worker queue; each worker
+    replies with its shard's ``state_dict`` once the message surfaces
+    behind the batches before it, so the collected snapshot is exactly
+    the state at that batch boundary. The parent keeps the raw payload
+    of every batch since the last completed snapshot (the replay
+    window). When the run is journaled, the in-memory window may be
+    capped (:attr:`Supervision.replay_window`): evicted batches are
+    re-read from the durable journal during catch-up instead.
+  - *Recovery.* The failed incarnation is killed and fully excised:
+    its input queue is discarded wholesale and every shared-memory
+    reference it held is revoked
+    (:meth:`~repro.streaming.shm.ShmRing.revoke`). A fresh incarnation
+    is spawned after exponential backoff, restored from the snapshot,
+    and fed the replay window, so it rejoins the run in the exact
+    state the dead worker should have had.
+  - *Attribution.* Crashes whose traceback implicates a layer degrade
+    it for the respawn: shared-memory errors (or repeated crashes)
+    move that worker to pickled queue payloads, numba errors pin the
+    respawn to the numpy backend (bit-identical by the backend
+    contract).
+  - *Bounded retries.* Each worker gets ``max_restarts`` respawns;
+    past that the run fails with
+    :class:`~repro.errors.RetryExhaustedError` carrying the last worker
+    traceback. Every respawn emits a
+    :class:`~repro.errors.WorkerRestartedWarning`.
+
+Either way a dead worker is noticed at the next queue ``put``, ring
+wait, sync barrier, or result wait (liveness polls), and a *hung*
+worker -- alive but not consuming -- by the optional
+``worker_deadline`` watchdog on put progress and barrier waits.
 
 Out-queue messages are tagged with the sender's *incarnation* so a
 dead worker's stragglers (a result flushed just before the kill
@@ -53,24 +61,30 @@ these paths deterministically.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue as queue_module
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import (
     InvalidParameterError,
     RetryExhaustedError,
+    WorkerCrashedError,
     WorkerRestartedWarning,
 )
 from . import faults as faults_module
 from .batch import EdgeBatch
-from .shm import BatchSender, TransportFeed
+from .journal import DEFAULT_SEGMENT_BYTES, JournalWriter, journal_records
+from .pipeline import FanOut
+from .registry import ESTIMATORS
+from .shm import BatchSender, TransportFeed, check_transport
 
 __all__ = [
     "CTL_TAG",
-    "CounterShardProgram",
     "EstimatorShardProgram",
+    "ShardExecutor",
+    "ShardRun",
     "ShardSupervisor",
     "Supervision",
 ]
@@ -84,19 +98,24 @@ CTL_TAG = "__repro_ctl__"
 #: surfaces (the queue feeder may still be flushing).
 _CLEAN_EXIT_GRACE = 0.5
 
+#: Batches in flight per worker queue; bounds parent-side memory while
+#: still hiding transport latency behind worker compute.
+_QUEUE_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class Supervision:
-    """The supervision policy knobs.
+    """The supervision policy knobs, validated on construction.
 
-    ``max_restarts`` is per worker. ``worker_deadline`` (seconds) arms
-    the hang watchdog: a worker making no progress for that long is
-    treated as crashed (``None`` disables it -- a merely *dead* worker
-    is still detected by liveness polls). ``snapshot_every`` is the
-    sync-barrier cadence in batches, which bounds both the replay
-    window's memory and the batches re-processed after a crash.
-    ``backoff`` is the first respawn delay, doubled per consecutive
-    restart of the same worker up to ``backoff_cap``.
+    ``max_restarts`` is per worker; ``0`` fails the run on the first
+    worker failure. ``worker_deadline`` (seconds) arms the hang
+    watchdog: a worker making no progress for that long is treated as
+    crashed (``None`` disables it -- a merely *dead* worker is still
+    detected by liveness polls). ``snapshot_every`` is the sync-barrier
+    cadence in batches, which bounds both the replay window's memory
+    and the batches re-processed after a crash. ``backoff`` is the
+    first respawn delay, doubled per consecutive restart of the same
+    worker up to ``backoff_cap``.
 
     ``replay_window`` caps the *in-memory* replay buffer, in batches.
     It is honored only when the supervisor was handed a journal
@@ -114,18 +133,37 @@ class Supervision:
     backoff_cap: float = 5.0
     replay_window: int | None = None
 
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("max_restarts", self.max_restarts),
+            ("snapshot_every", self.snapshot_every),
+            ("restart backoff", self.backoff),
+            ("replay_window", self.replay_window),
+        ):
+            if value is not None and value < 0:
+                raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+        if self.worker_deadline is not None and self.worker_deadline <= 0:
+            raise InvalidParameterError(
+                f"worker_deadline must be positive, got {self.worker_deadline}"
+            )
+
 
 class EstimatorShardProgram:
-    """One worker's shard of a :class:`ShardedPipeline` estimator pool.
+    """One worker's shard of every requested estimator pool.
 
-    A *program* is the picklable recipe a supervised worker runs:
-    :meth:`build` constructs fresh state deterministically (so a
-    respawn before the first snapshot needs no restore at all),
-    :meth:`consume` processes one batch, :meth:`state`/:meth:`load`
-    snapshot and restore, :meth:`finish` returns what the parent
-    merges. ``backend`` pins the kernel backend for (re)spawns --
-    recovery sets it to ``"numpy"`` when a crash is attributed to the
-    compiled backend.
+    A *program* is the picklable recipe a worker runs. ``specs`` is the
+    build plan: one ``{"name", "num_estimators", "seed", "options"}``
+    dict per pool (see
+    :meth:`~repro.streaming.sharded.ShardedPipeline.worker_specs`).
+    :meth:`build` constructs fresh state deterministically from it (so
+    a respawn before the first snapshot needs no restore at all) and
+    exposes the built ``(name, estimator)`` :attr:`pairs`;
+    :meth:`consume` feeds one batch through the shared
+    :class:`~repro.streaming.pipeline.FanOut`; :meth:`state`/:meth:`load`
+    snapshot and restore; :meth:`finish` returns ``(states, timings)``
+    for the parent to merge. ``backend`` pins the kernel backend for
+    (re)spawns -- recovery sets it to ``"numpy"`` when a crash is
+    attributed to the compiled backend.
     """
 
     def __init__(self, specs, backend: str | None = None) -> None:
@@ -137,95 +175,144 @@ class EstimatorShardProgram:
             from ..core.backend import set_backend
 
             set_backend(self.backend)
-        from .sharded import _build_estimators
-
-        self._pairs = _build_estimators(self.specs)
-        self._fast = [
-            getattr(est, "update_prepared", None) for _, est in self._pairs
+        self.pairs = [
+            (
+                spec["name"],
+                ESTIMATORS.get(spec["name"]).create(
+                    spec["num_estimators"], spec["seed"], **spec["options"]
+                ),
+            )
+            for spec in self.specs
         ]
-        self._want_context = any(
-            fast is not None and getattr(est, "uses_batch_context", True)
-            for (_, est), fast in zip(self._pairs, self._fast)
-        )
-        self._insert_only = [
-            name
-            for name, est in self._pairs
-            if not getattr(est, "supports_deletions", False)
-        ]
-        self._timings = {name: 0.0 for name, _ in self._pairs}
+        self._fanout = FanOut(self.pairs)
 
     def consume(self, batch) -> None:
-        prepared = batch if isinstance(batch, EdgeBatch) else None
-        if (
-            self._insert_only
-            and prepared is not None
-            and prepared.signs is not None
-        ):
-            raise InvalidParameterError(
-                "signed batch reached insert-only estimator(s) "
-                f"{self._insert_only}; deletions would be silently "
-                "counted as insertions"
-            )
-        if prepared is not None and self._want_context:
-            prepared.context  # noqa: B018 -- build the shared index once
-        for (name, est), fast in zip(self._pairs, self._fast):
-            t0 = time.perf_counter()
-            if fast is not None and prepared is not None:
-                fast(prepared)
-            else:
-                est.update_batch(batch)
-            self._timings[name] += time.perf_counter() - t0
+        self._fanout.consume(batch)
 
     def state(self) -> dict:
-        return {name: est.state_dict() for name, est in self._pairs}
+        return {name: est.state_dict() for name, est in self.pairs}
 
     def load(self, state: dict) -> None:
-        for name, est in self._pairs:
+        for name, est in self.pairs:
             est.load_state_dict(state[name])
 
     def finish(self):
-        return (self.state(), dict(self._timings))
+        return (self.state(), dict(self._fanout.timings))
 
 
-class CounterShardProgram:
-    """One worker's estimator shard of a :class:`ParallelTriangleCounter`."""
+@dataclass
+class ShardRun:
+    """What :meth:`ShardExecutor.run` hands back to a front-end."""
 
-    def __init__(self, num_estimators, seed_seq, backend: str | None = None) -> None:
-        self.num_estimators = num_estimators
-        self.seed_seq = seed_seq
-        self.backend = backend
-
-    def build(self) -> None:
-        if self.backend is not None:
-            from ..core.backend import set_backend
-
-            set_backend(self.backend)
-        from ..core.vectorized import VectorizedTriangleCounter
-
-        self._counter = VectorizedTriangleCounter(
-            self.num_estimators, seed=self.seed_seq
-        )
-
-    def consume(self, batch) -> None:
-        if isinstance(batch, EdgeBatch):
-            self._counter.update_prepared(batch)
-        else:
-            self._counter.update_batch(batch)
-
-    def state(self) -> dict:
-        return self._counter.state_dict()
-
-    def load(self, state: dict) -> None:
-        self._counter.load_state_dict(state)
-
-    def finish(self):
-        return self._counter.state_dict()
+    finals: list
+    edges: int = 0
+    batches: int = 0
+    io_seconds: float = 0.0
+    restarts: list[int] = field(default_factory=list)
 
 
-def _supervised_worker(
+class ShardExecutor:
+    """The one entry both multiprocess front-ends run their shards through.
+
+    Built at front-end construction, so the ``transport`` name and the
+    :class:`Supervision` ``policy`` are checked before anything runs.
+    :meth:`run` reads the stream once (journaling each batch first when
+    asked, timing the pulls as ``io_seconds``) and executes one program
+    per worker: a single program runs in-process, more go through a
+    :class:`ShardSupervisor`. ``fault_plan`` ``None`` defers to the
+    ``REPRO_FAULT_PLAN`` environment plan.
+    """
+
+    def __init__(self, transport: str, policy: Supervision, fault_plan) -> None:
+        check_transport(transport)
+        self.transport = transport
+        self.policy = policy
+        self.fault_plan = fault_plan
+
+    def run(
+        self,
+        programs,
+        source,
+        *,
+        batch_size: int,
+        journal_dir=None,
+        journal_fsync: str = "batch",
+        journal_max_segment: int = DEFAULT_SEGMENT_BYTES,
+    ) -> ShardRun:
+        """Stream ``source`` (an ``EdgeSource``) through ``programs``.
+
+        ``batch_size`` is checked before a journal is opened or a
+        worker spawned. With ``journal_dir`` each batch is appended to
+        the durable journal *before* it fans out, so the journal is
+        always a superset of what the workers consumed, and recovery
+        can re-read a capped replay window from it.
+        """
+        if batch_size < 1:
+            raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
+        journal = None
+        if journal_dir is not None:
+            journal = JournalWriter(
+                journal_dir, fsync=journal_fsync, max_segment_bytes=journal_max_segment
+            )
+        result = ShardRun(finals=[])
+        try:
+            stream = _metered(source.batches(batch_size), journal, result)
+            if len(programs) == 1:
+                (program,) = programs
+                program.build()
+                for batch in stream:
+                    program.consume(batch)
+                result.finals = [program.finish()]
+                result.restarts = [0]
+            else:
+                supervisor = ShardSupervisor(
+                    multiprocessing.get_context(),
+                    programs,
+                    transport=self.transport,
+                    batch_size=batch_size,
+                    policy=self.policy,
+                    fault_plan=self.fault_plan,
+                    journal=journal,
+                )
+                result.finals = supervisor.run(stream)
+                result.restarts = supervisor.restarts
+        finally:
+            if journal is not None:
+                journal.close()
+        return result
+
+
+def _metered(batches, journal, result: ShardRun):
+    """Yield ``batches``, journaling each first and metering the pulls.
+
+    The parent's one stream read: ``result.io_seconds`` accumulates the
+    wall time of every pull (journal append included), the same
+    stream-side share a single-process pipeline reports, and
+    ``edges``/``batches`` count what was fanned out.
+    """
+    it = iter(batches)
+    while True:
+        t0 = time.perf_counter()
+        batch = next(it, None)
+        if batch is not None and journal is not None:
+            if not isinstance(batch, EdgeBatch):
+                raise InvalidParameterError(
+                    "journaling requires columnar batches; the source yielded "
+                    f"{type(batch).__name__}"
+                )
+            journal.append(batch)
+        result.io_seconds += time.perf_counter() - t0
+        if batch is None:
+            return
+        result.edges += len(batch)
+        result.batches += 1
+        yield batch
+
+
+def _shard_worker(
     in_queue, out_queue, index: int, incarnation: int, program, client, plan
 ) -> None:
-    """The supervised worker loop: batches, control messages, faults.
+    """The one worker loop: batches, control messages, faults.
 
     Control tuples ride the batch queue so they are ordered exactly
     against the stream: a ``sync`` ack therefore reports the state at
@@ -288,7 +375,8 @@ class ShardSupervisor:
     Owns the workers, their queues, and the batch transport. The
     caller hands one *program* per worker and the batch iterable;
     :meth:`run` returns each program's :meth:`finish` value, in worker
-    order, having survived (bounded) crashes and hangs along the way.
+    order, having survived (bounded) crashes and hangs along the way
+    -- or, at ``max_restarts=0``, raised on the first one.
     """
 
     def __init__(
@@ -298,7 +386,7 @@ class ShardSupervisor:
         *,
         transport: str,
         batch_size: int,
-        queue_depth: int = 4,
+        queue_depth: int = _QUEUE_DEPTH,
         policy: Supervision | None = None,
         fault_plan=None,
         journal=None,
@@ -307,6 +395,9 @@ class ShardSupervisor:
         self._programs = list(programs)
         self._n = len(self._programs)
         self._policy = policy or Supervision()
+        # Snapshots and the replay window exist only to catch up a
+        # respawn; without a restart budget there is none to catch up.
+        self._recoverable = self._policy.max_restarts > 0
         self._plan = (
             fault_plan if fault_plan is not None else faults_module.active_plan()
         )
@@ -351,19 +442,19 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def run(self, batches) -> list:
         """Drive ``batches`` through the workers; return their finals."""
+        every = self._policy.snapshot_every if self._recoverable else 0
         try:
             for i in range(self._n):
                 self._spawn(i)
             for batch in batches:
                 self._broadcast(batch)
-                if (
-                    self._policy.snapshot_every
-                    and self._global_batch % self._policy.snapshot_every == 0
-                ):
+                if every and self._global_batch % every == 0:
                     self._sync()
             self._finish()
-        finally:
-            self._shutdown()
+        except BaseException:
+            self._shutdown(failed=True)
+            raise
+        self._shutdown(failed=False)
         return [self._finals[i] for i in range(self._n)]
 
     @property
@@ -377,7 +468,8 @@ class ShardSupervisor:
     def _broadcast(self, batch) -> None:
         self._global_batch += 1
         raw = BatchSender.raw(batch)
-        self._replay.append(raw)
+        if self._recoverable:
+            self._replay.append(raw)
         cap = self._policy.replay_window
         if (
             self._journal is not None
@@ -654,6 +746,15 @@ class ShardSupervisor:
         exhausted.
         """
         i = down.index
+        if not self._recoverable:
+            self._kill(i)
+            if down.exc is None:
+                raise WorkerCrashedError(
+                    f"{down} without reporting a result"
+                ) from None
+            if down.tb:
+                down.exc.add_note(f"worker traceback:\n{down.tb}")
+            raise down.exc from None
         while True:
             if down.tb:
                 self._last_tb = down.tb
@@ -725,8 +826,6 @@ class ShardSupervisor:
         """
         if self._replay_dropped == 0 or self._journal is None:
             return
-        from .journal import journal_records
-
         self._journal.sync()
         for batch, _position in journal_records(
             self._journal.directory,
@@ -834,7 +933,7 @@ class ShardSupervisor:
     def _spawn(self, i: int) -> None:
         client = None if self._degraded[i] else self._sender.client(i)
         proc = self._ctx.Process(
-            target=_supervised_worker,
+            target=_shard_worker,
             args=(
                 self._in_queues[i],
                 self._out_queue,
@@ -876,24 +975,19 @@ class ShardSupervisor:
         except Exception:  # pragma: no cover - teardown best effort
             pass
 
-    def _shutdown(self) -> None:
+    def _shutdown(self, failed: bool) -> None:
+        """Reap every worker, then unlink the ring.
+
+        After a clean finish every worker has shipped its final and is
+        exiting, so it gets time to go; after a failure the rest of the
+        run is moot and the survivors are killed at once. The ring is
+        closed last: unlinking frees the blocks only once the last
+        worker detaches, and every named segment is removed either way.
+        """
         for i, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            try:
-                self._in_queues[i].put_nowait(None)
-            except Exception:
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
+            if proc is not None and not failed:
                 proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join(timeout=5.0)
+            self._kill(i)
         self._sender.close()
         for q in self._in_queues:
             try:

@@ -31,6 +31,7 @@ run wherever shared memory exists.
 import glob
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from repro.errors import (
     RetryExhaustedError,
     SourceRetryWarning,
     SourceRotatedWarning,
+    WorkerCrashedError,
     WorkerRestartedWarning,
 )
 from repro.generators import holme_kim
@@ -289,12 +291,35 @@ class TestSupervisedRecovery:
 
     @pytest.mark.timeout(120)
     def test_unsupervised_default_still_fails_fast(self, transport):
-        """max_restarts=0 with no plan/deadline keeps the legacy
-        die-on-first-crash behaviour (supervision is opt-in)."""
+        """max_restarts=0 (the default) dies on the first crash: no
+        respawn, no restart warning, WorkerCrashedError, no leaks."""
+        pipe = ShardedPipeline(
+            ["count"],
+            workers=2,
+            num_estimators=64,
+            seed=1,
+            transport=transport,
+            fault_plan=FaultPlan.parse("kill:w1@b2"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WorkerRestartedWarning)
+            with pytest.raises(WorkerCrashedError, match="worker 1 died"):
+                pipe.run(EDGES, batch_size=32)
+        assert own_segments() == []
+
+    @pytest.mark.timeout(120)
+    def test_env_plan_reaches_workers_at_the_default(self, transport, monkeypatch):
+        """Every sharded run goes through the supervisor, so an env-armed
+        plan fires at max_restarts=0 too -- and fails the run."""
+        monkeypatch.setenv(faults_module.ENV_VAR, "kill:w1@b2")
+        monkeypatch.setattr(faults_module, "_INSTALLED", None)
+        monkeypatch.setattr(faults_module, "_ENV_CHECKED", False)
         pipe = ShardedPipeline(
             ["count"], workers=2, num_estimators=64, seed=1, transport=transport
         )
-        assert not pipe._supervised
+        with pytest.raises(WorkerCrashedError, match="worker 1 died"):
+            pipe.run(EDGES, batch_size=32)
+        assert own_segments() == []
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)

@@ -24,8 +24,8 @@ from repro.streaming import (
     shard_sizes,
 )
 from repro.streaming.batch import EdgeBatch
-from repro.streaming.sharded import _build_estimators, _consume
 from repro.streaming.source import EdgeSource, as_source
+from repro.streaming.supervisor import EstimatorShardProgram
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -56,9 +56,11 @@ def _simulate(sharded: ShardedPipeline, arr, batch_size):
     """Run the sharded plan sequentially in-process and merge."""
     per_worker = []
     for specs in sharded.worker_specs():
-        pairs = _build_estimators(specs)
-        _consume(pairs, as_source(arr).batches(batch_size))
-        per_worker.append(dict(pairs))
+        program = EstimatorShardProgram(specs)
+        program.build()
+        for batch in as_source(arr).batches(batch_size):
+            program.consume(batch)
+        per_worker.append(dict(program.pairs))
     merged = {}
     for name in sharded.names:
         for worker in per_worker:

@@ -23,7 +23,7 @@ import pytest
 from repro.core.parallel import ParallelTriangleCounter
 from repro.errors import InvalidParameterError, WorkerCrashedError
 from repro.generators import holme_kim
-from repro.streaming import ShardedPipeline
+from repro.streaming import FaultPlan, ShardedPipeline
 from repro.streaming import shm as shm_module
 from repro.streaming.batch import EdgeBatch
 from repro.streaming.shm import (
@@ -32,7 +32,6 @@ from repro.streaming.shm import (
     ShmRing,
     ShmRingClient,
     TransportFeed,
-    check_procs_alive,
     resolve_transport,
     shm_available,
 )
@@ -223,7 +222,6 @@ class TestTransportFeed:
         assert second.array.tolist() == [[3, 4]]
         with pytest.raises(StopIteration):
             next(it)
-        assert feed.finished
         assert ring.refcount(d2[1]) == 0
         client.close()
 
@@ -251,26 +249,12 @@ class TestTransportFeed:
         assert isinstance(items[0], EdgeBatch)
         assert items[0].array.tolist() == [[5, 6]]
         assert items[1] == [(0, 1)]
-        assert feed.finished
 
     def test_descriptor_without_client_is_a_protocol_error(self):
         q = stdlib_queue.Queue()
         q.put((DESCRIPTOR_TAG, 0, 1))
         with pytest.raises(InvalidParameterError, match="without a ring client"):
             next(iter(TransportFeed(q, None)))
-
-    def test_drain_releases_ring_slots(self, ring):
-        q = stdlib_queue.Queue()
-        d1 = ring.send(np.array([[1, 2]], dtype=np.int64))
-        d2 = ring.send(np.array([[3, 4]], dtype=np.int64))
-        for item in (d1, d2, None):
-            q.put(item)
-        feed = TransportFeed(q, ring.client())
-        feed.drain()
-        assert feed.finished
-        assert ring.refcount(d1[1]) == 0
-        assert ring.refcount(d2[1]) == 0
-        feed.drain()  # idempotent: already past the sentinel
 
 
 @needs_shm
@@ -283,7 +267,7 @@ class TestBatchSender:
             assert sender.mode == "shm"
             client = sender.client()
             assert client is not None
-            payload = sender.payload(EdgeBatch.from_edges([(0, 1), (2, 3)]))
+            payload = sender.descriptor(EdgeBatch.from_edges([(0, 1), (2, 3)]))
             assert payload[0] == DESCRIPTOR_TAG
             client.release(payload[1])
             client.close()
@@ -297,8 +281,8 @@ class TestBatchSender:
         )
         try:
             big = EdgeBatch.from_edges([(i, i + 1) for i in range(5)])
-            payload = sender.payload(big)
-            assert payload is big.array
+            assert sender.descriptor(big) is None
+            assert sender.raw(big) is big.array
         finally:
             sender.close()
 
@@ -307,7 +291,8 @@ class TestBatchSender:
             ctx(), transport="shm", consumers=1, batch_size=16, queue_depth=1
         )
         try:
-            assert sender.payload([(0, 1)]) == [(0, 1)]
+            assert sender.descriptor([(0, 1)]) is None
+            assert sender.raw([(0, 1)]) == [(0, 1)]
         finally:
             sender.close()
 
@@ -319,7 +304,8 @@ class TestBatchSender:
             assert sender.mode == "queue"
             assert sender.client() is None
             batch = EdgeBatch.from_edges([(0, 1)])
-            assert sender.payload(batch) is batch.array
+            assert sender.descriptor(batch) is None
+            assert sender.raw(batch) is batch.array
         finally:
             sender.close()
 
@@ -337,24 +323,6 @@ class TestBatchSender:
             BatchSender(
                 ctx(), transport="shm", consumers=1, batch_size=64, queue_depth=2
             )
-
-
-class _FakeProc:
-    def __init__(self, alive, exitcode=None):
-        self._alive = alive
-        self.exitcode = exitcode
-
-    def is_alive(self):
-        return self._alive
-
-
-class TestCheckProcsAlive:
-    def test_all_alive_passes(self):
-        check_procs_alive([_FakeProc(True), _FakeProc(True)])
-
-    def test_dead_worker_raises(self):
-        with pytest.raises(WorkerCrashedError, match="worker 1 died"):
-            check_procs_alive([_FakeProc(True), _FakeProc(False, exitcode=-9)])
 
 
 def assert_states_equal(a, b):
@@ -456,19 +424,17 @@ class TestCrashCleanup:
         assert own_segments() == []
 
     @pytest.mark.timeout(120)
-    def test_killed_worker_still_unlinks_every_segment(self, monkeypatch):
-        """A worker dying mid-run strands its ring references; the
-        parent must fail the run and still remove every segment."""
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("monkeypatched worker body needs fork inheritance")
-        from repro.core import parallel
-
-        def dying_worker(in_queue, out_queue, index, num, seed_seq, *rest):
-            in_queue.get()
-            os._exit(3)
-
-        monkeypatch.setattr(parallel, "_worker_loop", dying_worker)
-        counter = ParallelTriangleCounter(64, workers=2, seed=0, transport="shm")
-        with pytest.raises(WorkerCrashedError):
+    def test_killed_worker_still_unlinks_every_segment(self):
+        """A worker SIGKILLed mid-run strands its ring references; with
+        no restart budget the parent must fail the run and still remove
+        every segment."""
+        counter = ParallelTriangleCounter(
+            64,
+            workers=2,
+            seed=0,
+            transport="shm",
+            fault_plan=FaultPlan.parse("kill:w1@b2"),
+        )
+        with pytest.raises(WorkerCrashedError, match="exitcode -9"):
             counter.count(EDGES, batch_size=16)
         assert own_segments() == []
