@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Seven gates. The first three compare against the repo's committed
+Eight gates. The first three compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -46,6 +46,15 @@ runs each. The two paths are bit-identical, so the ratio isolates the
 sparse/dense dispatch: if the watch-index path stops paying for itself
 at the shape users shard to, this gate says so on any runner.
 
+The eighth is self-relative as well: on a Holme-Kim power-law stream
+(the ``pipeline-file`` benchmark graph's shape, ~320k edges, where the
+degree orientation matters), the columnar exact counter must beat the
+dict-of-sets reference it replaced (``tests/exact_reference.py``) by
+1.5x at batch 65,536 and at least match it at batch 1,024, min of 3
+interleaved runs each, per-batch context builds included. The small
+batch leg guards the amortized run/base merge: an index rebuilt at
+``Theta(m)`` per batch loses there long before it shows at 65,536.
+
     PYTHONPATH=src python benchmarks/check_throughput_regression.py
 """
 
@@ -64,6 +73,8 @@ SHARD_SPEEDUP_FLOOR = 2.0
 JOURNAL_OVERHEAD_CEILING = 0.15
 #: The worker-shape gate: sparse time must not exceed dense time.
 WORKER_SHAPE_RATIO_FLOOR = 1.0
+#: The exact-baseline gate: reference time over columnar time, per batch size.
+EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
 
 
 def _gate(label: str, measured: float, baseline: float) -> bool:
@@ -215,6 +226,53 @@ def _worker_shape_gate() -> bool:
     return True
 
 
+def _exact_baseline_gate() -> bool:
+    import numpy as np
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from exact_reference import ReferenceExactCounter
+
+    from repro.baselines import ExactStreamingCounter
+    from repro.generators import holme_kim
+    from repro.streaming.batch import EdgeBatch
+
+    stream = np.array(holme_kim(40_000, 8, 0.35, seed=0), dtype=np.int64)
+
+    def one_run(counter, w: int) -> float:
+        # Fresh batches every run, so the columnar counter pays its
+        # per-batch context build inside the timed loop.
+        batches = [
+            EdgeBatch(stream[start : start + w])
+            for start in range(0, stream.shape[0], w)
+        ]
+        t0 = time.perf_counter()
+        for batch in batches:
+            counter.update_batch(batch)
+        return time.perf_counter() - t0
+
+    ok = True
+    for w, floor in EXACT_SPEEDUP_FLOORS.items():
+        best = {"reference": float("inf"), "columnar": float("inf")}
+        for _ in range(3):
+            best["reference"] = min(best["reference"], one_run(ReferenceExactCounter(), w))
+            best["columnar"] = min(best["columnar"], one_run(ExactStreamingCounter(), w))
+        ratio = best["reference"] / max(best["columnar"], 1e-9)
+        print(
+            f"[throughput-gate] exact baseline w={w} ({stream.shape[0]} edges): "
+            f"columnar {best['columnar']:.3f}s, reference {best['reference']:.3f}s "
+            f"({ratio:.2f}x, floor {floor:.1f}x)"
+        )
+        if ratio < floor:
+            print(
+                f"[throughput-gate] FAIL (exact baseline w={w}): the columnar "
+                "exact counter fell below its floor against the dict-of-sets "
+                "reference",
+                file=sys.stderr,
+            )
+            ok = False
+    return ok
+
+
 def main() -> int:
     committed = json.loads(ARTIFACT.read_text())
     r = min(committed["r_values"])
@@ -259,6 +317,7 @@ def main() -> int:
     ok = _dynamic_gate(committed) and ok
     ok = _journal_overhead_gate(committed) and ok
     ok = _worker_shape_gate() and ok
+    ok = _exact_baseline_gate() and ok
 
     if not ok:
         return 1
