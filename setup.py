@@ -16,9 +16,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.23"],
     extras_require={
-        # Optional JIT-compiled kernel backend; results are bit-identical
-        # to the pure-NumPy default (see src/repro/core/backend.py).
-        "numba": ["numba>=0.57"],
         # Lint layer used by the CI static-analysis job; pinned so a new
         # ruff release cannot change what the gate enforces.
         "dev": ["ruff==0.5.7", "pytest>=7"],

@@ -2,12 +2,10 @@
 
 Eight PRs of growth rest on conventions that nothing enforced at lint
 time: every checkpointable estimator must round-trip its full mutable
-state, all randomness must flow through seeded generators, every kernel
-behind :data:`repro.core.backend.KERNEL_NAMES` must exist in both
-backends with the same signature, shared-memory blocks must pair
-``close()``/``unlink()``, and live reporters must not draw from an
-estimator's generator. Violating any of them produces bugs that only
-surface in kill/resume chaos runs or cross-backend fingerprint diffs --
+state, all randomness must flow through seeded generators, shared-memory
+blocks must pair ``close()``/``unlink()``, and live reporters must not
+draw from an estimator's generator. Violating any of them produces bugs
+that only surface in kill/resume chaos runs or fingerprint diffs --
 long after the offending line shipped.
 
 This package is an AST-based analyzer that checks those contracts
@@ -30,9 +28,6 @@ R001  checkpoint-state completeness: ``self.*`` assigned in ``__init__``
       or be declared derived via ``# repro: derived``
 R002  RNG discipline: no stdlib ``random``, no legacy ``np.random.*``
       global calls, no time-seeded generators
-R003  backend kernel parity: every ``KERNEL_NAMES`` kernel defined in
-      both backends with identical positional signatures; no direct
-      kernel imports outside the dispatch seam
 R004  resource lifecycle: ``SharedMemory``/file handles must reach
       ``close``/``unlink`` through ``with``/``finally``/``__exit__``
 R005  nondeterministic iteration: no draining bare ``set``\\ s into
@@ -41,6 +36,10 @@ R006  registry/protocol conformance: registered estimators satisfy the
       ``StreamingEstimator`` surface, ``supports_deletions`` is a bool
       class attribute, live reporters never consume randomness
 ====  ==================================================================
+
+R003 (kernel-backend parity) is retired along with the compiled kernel
+backend it checked; its ID is not reused and the other rules keep
+their numbers.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ A rule module defines one check function and registers it:
         ...
 
 Adding a rule is: create ``r0xx_name.py`` beside the existing ones,
-register with the next free id, import it below, and give it fixture
-coverage in ``tests/test_analysis.py`` (at least two seeded violations
-plus a clean counterpart). The runner handles selection, suppression,
+register with the next free id (a retired id, such as R003, is never
+reused), import it below, and give it fixture coverage in
+``tests/test_analysis.py`` (at least two seeded violations plus a
+clean counterpart). The runner handles selection, suppression,
 and output; rules only emit findings.
 """
 
@@ -52,7 +53,6 @@ def rule(rule_id: str, title: str) -> Callable:
 from . import (  # noqa: E402  (imports must follow the decorator definition)
     r001_checkpoint,
     r002_rng,
-    r003_backend,
     r004_lifecycle,
     r005_iteration,
     r006_registry,
@@ -61,7 +61,6 @@ from . import (  # noqa: E402  (imports must follow the decorator definition)
 del (
     r001_checkpoint,
     r002_rng,
-    r003_backend,
     r004_lifecycle,
     r005_iteration,
     r006_registry,

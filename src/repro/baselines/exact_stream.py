@@ -40,7 +40,8 @@ endpoint-event order and its sorted distinct edge keys):
    several times faster than the same queries unsorted.
 
 Plain edge sequences are validated here, under the contract every
-other estimator applies: ids outside ``[0, 2^31)`` raise
+other estimator applies (:func:`~repro.streaming.batch.check_vertex_ids`):
+ids that are not integers in ``[0, 2^31)`` raise
 :class:`~repro.errors.InvalidParameterError`, self-loops
 :class:`~repro.errors.InvalidEdgeError`.
 """
@@ -52,14 +53,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import EmptyStreamError, InvalidEdgeError, InvalidParameterError
-from ..streaming.batch import VERTEX_LIMIT, EdgeBatch
+from ..streaming.batch import EdgeBatch, check_vertex_ids
 
 __all__ = ["ExactStreamingCounter"]
 
 _SHIFT = np.int64(32)
 _LOW = (np.int64(1) << _SHIFT) - 1
 _EMPTY = np.empty(0, dtype=np.int64)
-_ID_CONTRACT = "vertex ids must be integers in [0, 2^31)"
 
 #: Fold the recent run into the base once it holds more than
 #: ``1 / _FOLD_FACTOR`` of the base's keys.
@@ -126,8 +126,7 @@ def _validated(batch) -> EdgeBatch:
         return EdgeBatch(np.empty((0, 2), dtype=np.int64))
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidParameterError("batch must be an (w, 2) array of edges")
-    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= VERTEX_LIMIT:
-        raise InvalidParameterError(_ID_CONTRACT)
+    check_vertex_ids(arr)
     arr = arr.astype(np.int64, copy=False)
     u, v = arr[:, 0], arr[:, 1]
     loops = np.flatnonzero(u == v)
@@ -326,8 +325,7 @@ class ExactStreamingCounter:
             raise InvalidParameterError(
                 "state edges must be canonical u < v rows (no self-loops)"
             )
-        if u.size and (u.min() < 0 or v.max() >= VERTEX_LIMIT):
-            raise InvalidParameterError(f"state edges: {_ID_CONTRACT}")
+        check_vertex_ids(edges)
         keys = (u << _SHIFT) | v
         if (keys[1:] <= keys[:-1]).any():
             raise InvalidParameterError("state edges must be sorted and unique")

@@ -21,9 +21,7 @@ estimator state no matter how long the stream is. ``pipeline``
 fans one stream pass out to any set of estimators from the registry
 (``--estimator`` choices below); ``--engine`` choices likewise come
 from the engine registry, so out-of-tree registrations appear
-automatically. Every subcommand takes ``--backend`` to pick the kernel
-backend (``numba`` JIT vs the pure-NumPy reference; results are
-bit-identical either way). ``pipeline`` also carries the production
+automatically. ``pipeline`` also carries the production
 knobs: ``--workers`` shards every estimator pool across processes over
 one stream read (``--transport`` chooses how batches reach them:
 zero-copy shared memory or pickled queues), and ``--checkpoint`` /
@@ -38,8 +36,8 @@ it follows a *growing* file (or stdin) and emits a snapshot of every
 estimator's current results each ``--every`` batches while the stream
 keeps flowing, with the same checkpoint/resume knobs. ``check`` is the
 repo's own static analyzer: it runs the :mod:`repro.analysis` rules
-(checkpoint completeness, RNG discipline, backend parity, resource
-lifecycle, iteration determinism, registry conformance) over source
+(checkpoint completeness, RNG discipline, resource lifecycle,
+iteration determinism, registry conformance) over source
 trees and exits nonzero on findings.
 """
 
@@ -56,7 +54,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .baselines.exact_stream import ExactStreamingCounter
-from .core.backend import set_backend
 from .core.transitivity import TransitivityEstimator
 from .core.triangle_count import TriangleCounter
 from .core.triangle_sample import TriangleSampler
@@ -108,19 +105,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "each line is 'u v' plus a +1/-1 third column (or a +/- prefix) "
         "marking insertion vs deletion. Requires deletion-capable "
         "estimators (triest-fd, dynamic-sampler)",
-    )
-    _add_backend(parser)
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        help="kernel backend: 'numba' JIT-compiles the hot kernels "
-        "(bit-identical results, needs numba installed), 'numpy' is the "
-        "pure-NumPy reference, 'auto' picks numba when importable "
-        "(default: $REPRO_BACKEND, then auto)",
     )
 
 
@@ -535,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         "each line carries a +1/-1 third column or a +/- prefix marking "
         "insertion vs deletion; pair with deletion-capable estimators",
     )
-    _add_backend(p_watch)
     p_watch.add_argument(
         "--estimator",
         action="append",
@@ -617,9 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's static-analysis rules",
         description="AST-based invariant checks over Python sources: "
         "checkpoint-state completeness (R001), RNG discipline (R002), "
-        "backend kernel parity (R003), resource lifecycle (R004), "
-        "nondeterministic iteration (R005), and registry/protocol "
-        "conformance (R006). Suppress a single line with "
+        "resource lifecycle (R004), nondeterministic iteration (R005), "
+        "and registry/protocol conformance (R006). Suppress a single line with "
         "'# repro: allow[R00x]'; unused suppressions are themselves "
         "flagged. Exits 0 when clean, 1 on findings, 2 on usage errors.",
     )
@@ -653,9 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
-    # backend="numpy" keeps main()'s set_backend from importing numba:
-    # the analyzer never executes a kernel.
-    p_check.set_defaults(func=_cmd_check, backend="numpy")
+    p_check.set_defaults(func=_cmd_check)
     return parser
 
 
@@ -663,10 +643,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Activate before any estimator is built so even construction-time
-        # kernel calls go through the requested backend. An explicit
-        # --backend numba on a numba-less box fails loudly here.
-        set_backend(getattr(args, "backend", None))
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

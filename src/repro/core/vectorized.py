@@ -63,9 +63,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..streaming.batch import BatchContext, EdgeBatch
+from ..streaming.batch import BatchContext, EdgeBatch, _pack_index_sort
 from ..streaming.registry import register_engine
-from .backend import active as _kernel_backend
 from .watch_index import WatchIndex
 
 __all__ = ["STATE_FIELDS", "VectorizedTriangleCounter"]
@@ -80,6 +79,58 @@ __all__ = ["STATE_FIELDS", "VectorizedTriangleCounter"]
 STATE_FIELDS = (
     "r1u", "r1v", "r1pos", "r2u", "r2v", "r2pos", "c", "tset", "ta", "tb", "tc",
 )
+
+
+def _pack_edge_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical packed edge keys ``(min << 32) | max`` per pair."""
+    return (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
+
+
+def _wedge_geometry(
+    r1u: np.ndarray, r1v: np.ndarray, r2u: np.ndarray, r2v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared vertex, outer endpoints, and closing key of each wedge.
+
+    The shared vertex is the endpoint ``r1`` and ``r2`` have in common;
+    the two outer endpoints form the closing edge, returned packed as
+    a canonical int64 key.
+    """
+    shared = np.where((r1u == r2u) | (r1u == r2v), r1u, r1v)
+    out1 = r1u + r1v - shared
+    out2 = r2u + r2v - shared
+    keys = (np.minimum(out1, out2) << np.int64(32)) | np.maximum(out1, out2)
+    return shared, out1, out2, keys
+
+
+def _phi_from_draws(draws: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Algorithm 3's ``randInt(1, total)`` from uniform float64 draws.
+
+    ``1 + int64(draw * total)`` clamped to ``total`` -- the clamp closes
+    the rounding hole where a draw close to 1 against a large total
+    rounds the product up to ``total`` itself (see the phi-clamp
+    regression tests).
+    """
+    phi = 1 + (draws * totals).astype(np.int64)
+    np.minimum(phi, totals, out=phi)
+    return phi
+
+
+def _step2_totals(
+    deg_bx: np.ndarray,
+    deg_by: np.ndarray,
+    beta_x: np.ndarray,
+    beta_y: np.ndarray,
+    c_minus: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observation 3.6's candidate counts: ``(a, c_plus, total)``.
+
+    ``a`` is the new-candidate count on the ``x`` side, ``c_plus`` the
+    total new candidates, ``total = c_minus + c_plus`` the updated
+    running count.
+    """
+    a = deg_bx - beta_x
+    c_plus = a + (deg_by - beta_y)
+    return a, c_plus, c_minus + c_plus
 
 
 @register_engine("vectorized")
@@ -361,9 +412,8 @@ class VectorizedTriangleCounter:
         beta_x[new_mask] = ctx.deg_at_edge_u[new_j]
         beta_y[new_mask] = ctx.deg_at_edge_v[new_j]
 
-        kb = _kernel_backend()
         c_minus = self.c
-        a, c_plus, total = kb.step2_totals(
+        a, c_plus, total = _step2_totals(
             ctx.final_degree(self.r1u),
             ctx.final_degree(self.r1v),
             beta_x,
@@ -378,7 +428,7 @@ class VectorizedTriangleCounter:
             # kernel clamps the float-rounding hole where random() close
             # to 1 against a large total rounds the product up to total
             # itself, which would push phi one past the contract.
-            phi[active] = kb.phi_from_draws(
+            phi[active] = _phi_from_draws(
                 self._rng.random(int(active.sum())), total[active]
             )
         self.c = total
@@ -416,9 +466,7 @@ class VectorizedTriangleCounter:
         r1u, r1v = self.r1u[open_wedge], self.r1v[open_wedge]
         r2u, r2v = self.r2u[open_wedge], self.r2v[open_wedge]
         # Shared vertex of the wedge; outer endpoints form the closing edge.
-        shared, out1, out2, keys = _kernel_backend().wedge_geometry(
-            r1u, r1v, r2u, r2v
-        )
+        shared, out1, out2, keys = _wedge_geometry(r1u, r1v, r2u, r2v)
         mask = ctx.vertex_mask
         if mask is None:
             local = ctx.position_in_batch_keys(keys)
@@ -538,7 +586,7 @@ class VectorizedTriangleCounter:
             merged = np.concatenate([new_idx, hits])
             n = merged.shape[0]
             shift = np.int64(max(1, (n - 1).bit_length()))
-            packed = _kernel_backend().pack_index_sort(merged, shift)
+            packed = _pack_index_sort(merged, shift)
             sorted_slots = packed >> shift
             head = np.empty(n, dtype=bool)
             head[0] = True
@@ -597,7 +645,6 @@ class VectorizedTriangleCounter:
             r1u_c = self.r1u[cand]
             r1v_c = self.r1v[cand]
             c_minus = self.c[cand]
-        kb = _kernel_backend()
         beta_x = np.zeros(n_c, dtype=np.int64)
         beta_y = np.zeros(n_c, dtype=np.int64)
         if k:
@@ -609,9 +656,7 @@ class VectorizedTriangleCounter:
             deg_by_c = ctx.final_degree(r1v_c)
         # On the candidate path the endpoint batch degrees came for free
         # with the watch hits.
-        a, c_plus, total = kb.step2_totals(
-            deg_bx_c, deg_by_c, beta_x, beta_y, c_minus
-        )
+        a, c_plus, total = _step2_totals(deg_bx_c, deg_by_c, beta_x, beta_y, c_minus)
         if full:
             self.c = total
         else:
@@ -620,7 +665,7 @@ class VectorizedTriangleCounter:
         n = active.shape[0]
         if n == 0:
             return
-        phi = kb.phi_from_draws(self._rng.random(n), total[active])
+        phi = _phi_from_draws(self._rng.random(n), total[active])
         replace = np.flatnonzero(phi > c_minus[active])
         if replace.shape[0] == 0:
             return
@@ -659,7 +704,7 @@ class VectorizedTriangleCounter:
         # are the two non-shared ones.
         out1 = np.where(use_x, r1v_r, r1u_r)
         out2 = new_r2u + new_r2v - target_v
-        self._wedge_watch.add(kb.pack_edge_keys(out1, out2), slots)
+        self._wedge_watch.add(_pack_edge_keys(out1, out2), slots)
         if had_wedge:
             self._wedge_watch.note_stale(had_wedge)
 
@@ -673,7 +718,6 @@ class VectorizedTriangleCounter:
         active slot replaces). Consumes the generator exactly as the
         general path does.
         """
-        kb = _kernel_backend()
         remaining_u, remaining_v = ctx.remaining_degrees
         a = remaining_u[new_j]
         c_plus = a + remaining_v[new_j]
@@ -682,7 +726,7 @@ class VectorizedTriangleCounter:
         n = active.shape[0]
         if n == 0:
             return
-        phi = kb.phi_from_draws(self._rng.random(n), c_plus[active])
+        phi = _phi_from_draws(self._rng.random(n), c_plus[active])
         # phi in [1, a]: the u-side EVENTB run; else the v-side run.
         new_j_a = new_j[active]
         a_r = a[active]
@@ -701,7 +745,7 @@ class VectorizedTriangleCounter:
         shared = np.where(use_x, r1u_a, r1v_a)
         out1 = np.where(use_x, r1v_a, r1u_a)
         out2 = new_r2u + new_r2v - shared
-        self._wedge_watch.add(kb.pack_edge_keys(out1, out2), active)
+        self._wedge_watch.add(_pack_edge_keys(out1, out2), active)
 
     def _step3_sparse(self, ctx: BatchContext, base: int) -> None:
         """Step 3 via the wedge watch (or a dense scan when cheaper).
@@ -736,9 +780,7 @@ class VectorizedTriangleCounter:
         qidx = qidx[alive]
         r1u, r1v = self.r1u[slots], self.r1v[slots]
         r2u, r2v = self.r2u[slots], self.r2v[slots]
-        shared, out1, out2, keys = _kernel_backend().wedge_geometry(
-            r1u, r1v, r2u, r2v
-        )
+        shared, out1, out2, keys = _wedge_geometry(r1u, r1v, r2u, r2v)
         # A hit is real when the slot's *current* closing key still is
         # the matched batch key (a stale entry's slot re-derives a
         # different key -- or the same one via its own live entry); the
@@ -781,7 +823,7 @@ class VectorizedTriangleCounter:
 
     def _closing_keys(self, slots: np.ndarray) -> np.ndarray:
         """Packed closing-edge keys of the open wedges at ``slots``."""
-        return _kernel_backend().wedge_geometry(
+        return _wedge_geometry(
             self.r1u[slots], self.r1v[slots], self.r2u[slots], self.r2v[slots]
         )[3]
 

@@ -53,11 +53,82 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import active as _kernel_backend
-
 __all__ = ["WatchIndex"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-query ranges into ``(positions, query indices)``.
+
+    Concatenates ``arange(lo[i], hi[i])`` for every query ``i`` (in
+    query order) and pairs each produced position with ``i``.
+    """
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY, _EMPTY
+    query_idx = np.arange(lo.shape[0], dtype=np.int64)
+    nonempty = counts > 0
+    if not nonempty.all():
+        lo = lo[nonempty]
+        counts = counts[nonempty]
+        query_idx = query_idx[nonempty]
+    starts = np.cumsum(counts) - counts
+    positions = np.repeat(lo - starts, counts) + np.arange(total, dtype=np.int64)
+    return positions, np.repeat(query_idx, counts)
+
+
+def _packed_range_lookup(
+    packed: np.ndarray, shift: np.int64, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of all ``packed`` entries whose key is in sorted ``queries``.
+
+    ``packed`` holds sorted ``(key << shift) | slot`` values; returns
+    ``(slots, query_indices)`` in query-major order.
+    """
+    lo = np.searchsorted(packed, queries << shift)
+    hi = np.searchsorted(packed, (queries + 1) << shift)
+    span, qidx = _expand_ranges(lo, hi)
+    if span.shape[0] == 0:
+        return _EMPTY, _EMPTY
+    return packed[span] & ((np.int64(1) << shift) - 1), qidx
+
+
+def _sorted_range_lookup(
+    sorted_keys: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of all ``sorted_keys`` entries matching sorted ``queries``.
+
+    Returns ``(positions, query_indices)`` in query-major order; the
+    caller gathers its parallel value array at ``positions``.
+    """
+    lo = np.searchsorted(sorted_keys, queries, side="left")
+    hi = np.searchsorted(sorted_keys, queries, side="right")
+    return _expand_ranges(lo, hi)
+
+
+def _tail_probe(
+    queries: np.ndarray, tail_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match each tail key against sorted unique ``queries``.
+
+    Returns ``(tail_indices, query_indices)`` for the tail entries whose
+    key occurs in ``queries`` (tail order). ``queries`` must be
+    non-empty.
+    """
+    q = queries.shape[0]
+    pos = np.searchsorted(queries, tail_keys)
+    np.minimum(pos, q - 1, out=pos)
+    hit = queries[pos] == tail_keys
+    return np.flatnonzero(hit), pos[hit]
+
+
+def _pack_sort_pairs(keys: np.ndarray, slots: np.ndarray, shift: np.int64) -> np.ndarray:
+    """Sorted ``(keys << shift) | slots`` (key-major, slot-minor)."""
+    packed = (keys << shift) | slots
+    packed.sort()
+    return packed
 
 
 def _sort_pairs(keys: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,32 +139,10 @@ def _sort_pairs(keys: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.nda
     slot_bits = max(int(slots.max()).bit_length(), 1)
     if key_bits + slot_bits <= 63:
         shift = np.int64(slot_bits)
-        packed = _kernel_backend().pack_sort_pairs(keys, slots, shift)
+        packed = _pack_sort_pairs(keys, slots, shift)
         return packed >> shift, packed & ((np.int64(1) << shift) - 1)
     order = np.argsort(keys, kind="stable")
     return keys[order], slots[order]
-
-
-def _expand_ranges(
-    lo: np.ndarray, hi: np.ndarray, query_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-query ranges into (positions, query indices).
-
-    Concatenates ``arange(lo[i], hi[i])`` for every query and pairs each
-    produced position with ``query_idx[i]``.
-    """
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, _EMPTY
-    nonempty = counts > 0
-    if not nonempty.all():
-        lo = lo[nonempty]
-        counts = counts[nonempty]
-        query_idx = query_idx[nonempty]
-    starts = np.cumsum(counts) - counts
-    positions = np.repeat(lo - starts, counts) + np.arange(total, dtype=np.int64)
-    return positions, np.repeat(query_idx, counts)
 
 
 class WatchIndex:
@@ -225,18 +274,17 @@ class WatchIndex:
                 q = query_keys.shape[0]
                 if q == 0:
                     return _EMPTY, _EMPTY
-        kb = _kernel_backend()
         slot_parts = []
         query_parts = []
         self._lookup_base(query_keys, slot_parts, query_parts)
         if self._run_keys.shape[0]:
-            span, idx = kb.sorted_range_lookup(self._run_keys, query_keys)
+            span, idx = _sorted_range_lookup(self._run_keys, query_keys)
             if span.shape[0]:
                 slot_parts.append(self._run_slots[span])
                 query_parts.append(idx)
         if self._tail_size:
             tail_keys, tail_slots = self._tail_arrays()
-            tail_idx, pos_hit = kb.tail_probe(query_keys, tail_keys)
+            tail_idx, pos_hit = _tail_probe(query_keys, tail_keys)
             if tail_idx.shape[0]:
                 slot_parts.append(tail_slots[tail_idx])
                 query_parts.append(pos_hit)
@@ -300,14 +348,13 @@ class WatchIndex:
     def _lookup_base(
         self, query_keys: np.ndarray, slot_parts: list, query_parts: list
     ) -> None:
-        kb = _kernel_backend()
         if self._offsets is not None:
             clipped = np.minimum(query_keys, self._offsets_hi)
-            span, idx = kb.expand_ranges(
+            span, idx = _expand_ranges(
                 self._offsets[clipped], self._offsets[clipped + 1]
             )
         elif self._packed.shape[0]:
-            slots, idx = kb.packed_range_lookup(
+            slots, idx = _packed_range_lookup(
                 self._packed, self._shift, query_keys
             )
             if slots.shape[0]:
@@ -315,7 +362,7 @@ class WatchIndex:
                 query_parts.append(idx)
             return
         elif self._base_keys.shape[0]:
-            span, idx = kb.sorted_range_lookup(self._base_keys, query_keys)
+            span, idx = _sorted_range_lookup(self._base_keys, query_keys)
         else:
             return
         if span.shape[0] == 0:
@@ -342,7 +389,7 @@ class WatchIndex:
             # One sort over packed values, no gather, and range lookups
             # search the packed array directly.
             shift = np.int64(slot_bits)
-            self._packed = _kernel_backend().pack_sort_pairs(keys, slots, shift)
+            self._packed = _pack_sort_pairs(keys, slots, shift)
             self._shift = shift
             self._base_keys = _EMPTY
             self._base_slots = _EMPTY

@@ -130,6 +130,16 @@ class InvalidParameterError(ReproError):
     """A numeric parameter is outside its documented domain."""
 
 
+class VertexIdError(InvalidParameterError):
+    """A vertex id is not an integer in ``[0, 2^31)``.
+
+    Raised by :func:`repro.streaming.batch.check_vertex_ids`, the one
+    id check every entry point shares. A well-formed line whose id is
+    out of range is a contract violation, not stream corruption, so
+    follow-mode scrubbing lets this error through.
+    """
+
+
 class InsufficientSampleError(ReproError):
     """A sampling routine could not produce the requested sample.
 

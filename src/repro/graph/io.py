@@ -44,7 +44,6 @@ __all__ = [
     "dedup_edge_arrays",
 ]
 
-_VERTEX_LIMIT = np.int64(1) << 31  # ids must pack two-per-int64 key
 _CHUNK_CHARS = 1 << 20  # target text volume per parsed chunk
 _ROW_CHARS = 12  # ~"12345 67890\n": sizes loadtxt chunks from chunk_chars
 
@@ -84,8 +83,10 @@ def iter_edge_list(path: str | os.PathLike) -> Iterator[Edge]:
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
     """Vectorized self-loop filter + canonicalization + id validation."""
-    if (arr < 0).any() or (arr >= _VERTEX_LIMIT).any():
-        raise InvalidParameterError("vertex ids must be in [0, 2^31)")
+    # Deferred: repro.streaming imports this module at package import.
+    from ..streaming.batch import check_vertex_ids
+
+    check_vertex_ids(arr)
     u, v = arr[:, 0], arr[:, 1]
     keep = u != v
     if not keep.all():
@@ -220,8 +221,9 @@ def _canonical_signed_rows(arr: np.ndarray, signs: np.ndarray) -> np.ndarray:
     Same id validation and self-loop skip, same canonical ``u < v``
     columns; the sign column rides along untouched by the min/max swap.
     """
-    if (arr < 0).any() or (arr >= _VERTEX_LIMIT).any():
-        raise InvalidParameterError("vertex ids must be in [0, 2^31)")
+    from ..streaming.batch import check_vertex_ids
+
+    check_vertex_ids(arr)
     u, v = arr[:, 0], arr[:, 1]
     keep = u != v
     if not keep.all():

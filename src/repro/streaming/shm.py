@@ -134,9 +134,10 @@ def check_transport(transport: str) -> str:
 def resolve_transport(transport: str) -> str:
     """Resolve a requested transport to ``"shm"`` or ``"queue"``.
 
-    ``auto`` degrades silently on shm-less platforms; an explicit
-    ``shm`` request raises there instead, mirroring the kernel
-    backend's selection contract.
+    ``auto`` degrades silently to ``queue`` on shm-less platforms; an
+    explicit ``shm`` request raises there instead, so a caller that
+    asked for shared memory never gets pickled payloads without
+    knowing it.
     """
     name = check_transport(transport)
     if name == "auto":

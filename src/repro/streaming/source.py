@@ -63,6 +63,7 @@ from ..errors import (
     SourceExhaustedError,
     SourceRetryWarning,
     SourceRotatedWarning,
+    VertexIdError,
 )
 from ..graph.edge import Edge
 from ..graph.io import (
@@ -498,7 +499,10 @@ class FollowSource(FileSource):
       offset zero of the new file.
     - Unparseable lines (a writer crashed mid-record, injected
       corruption) are dropped with a :class:`SourceRetryWarning`
-      naming the count, instead of killing the stream.
+      naming the count, instead of killing the stream. A well-formed
+      line whose id is outside ``[0, 2^31)`` is not corruption: it
+      raises :class:`~repro.errors.VertexIdError` on both the signed
+      and unsigned paths.
 
     Parameters
     ----------
@@ -581,6 +585,8 @@ class FollowSource(FileSource):
                 return _signed_arrays(text)
             try:
                 return list(iter_edge_array_chunks(io.StringIO(text)))
+            except VertexIdError:
+                raise
             except _COERCE_ERRORS:
                 kept = []
                 dropped = 0
@@ -594,18 +600,22 @@ class FollowSource(FileSource):
                         dropped += 1
                         continue
                     kept.append(line)
-                warnings.warn(
-                    SourceRetryWarning(
-                        f"dropped {dropped} unparseable line(s) from the "
-                        f"followed stream {self.path!r}"
-                    ),
-                    stacklevel=3,
-                )
+                if dropped:
+                    _warn_dropped(dropped)
                 if not kept:
                     return []
                 return list(
                     iter_edge_array_chunks(io.StringIO("\n".join(kept) + "\n"))
                 )
+
+        def _warn_dropped(dropped: int) -> None:
+            warnings.warn(
+                SourceRetryWarning(
+                    f"dropped {dropped} unparseable line(s) from the "
+                    f"followed stream {self.path!r}"
+                ),
+                stacklevel=4,
+            )
 
         def _signed_arrays(text: str) -> list[np.ndarray]:
             """The signed parse: locked layout, per-line scrub fallback."""
@@ -632,6 +642,8 @@ class FollowSource(FileSource):
                 try:
                     fmt = sfmt or _probe_signed_format(stripped + "\n")
                     arr = _signed_block_rows(stripped + "\n", fmt, 1)
+                except VertexIdError:
+                    raise
                 except _COERCE_ERRORS:
                     dropped += 1
                     continue
@@ -639,13 +651,8 @@ class FollowSource(FileSource):
                     sfmt = fmt
                 if arr.shape[0]:
                     kept.append(arr)
-            warnings.warn(
-                SourceRetryWarning(
-                    f"dropped {dropped} unparseable line(s) from the "
-                    f"followed stream {self.path!r}"
-                ),
-                stacklevel=3,
-            )
+            if dropped:
+                _warn_dropped(dropped)
             return kept
 
         def _parse(text: str) -> Iterator[np.ndarray]:

@@ -35,11 +35,9 @@ does:
     is spawned after exponential backoff, restored from the snapshot,
     and fed the replay window, so it rejoins the run in the exact
     state the dead worker should have had.
-  - *Attribution.* Crashes whose traceback implicates a layer degrade
-    it for the respawn: shared-memory errors (or repeated crashes)
-    move that worker to pickled queue payloads, numba errors pin the
-    respawn to the numpy backend (bit-identical by the backend
-    contract).
+  - *Attribution.* Crashes whose traceback implicates shared memory
+    (or repeated crashes) degrade that worker's respawn to pickled
+    queue payloads.
   - *Bounded retries.* Each worker gets ``max_restarts`` respawns;
     past that the run fails with
     :class:`~repro.errors.RetryExhaustedError` carrying the last worker
@@ -161,20 +159,13 @@ class EstimatorShardProgram:
     :meth:`consume` feeds one batch through the shared
     :class:`~repro.streaming.pipeline.FanOut`; :meth:`state`/:meth:`load`
     snapshot and restore; :meth:`finish` returns ``(states, timings)``
-    for the parent to merge. ``backend`` pins the kernel backend for
-    (re)spawns -- recovery sets it to ``"numpy"`` when a crash is
-    attributed to the compiled backend.
+    for the parent to merge.
     """
 
-    def __init__(self, specs, backend: str | None = None) -> None:
+    def __init__(self, specs) -> None:
         self.specs = [dict(spec) for spec in specs]
-        self.backend = backend
 
     def build(self) -> None:
-        if self.backend is not None:
-            from ..core.backend import set_backend
-
-            set_backend(self.backend)
         self.pairs = [
             (
                 spec["name"],
@@ -879,19 +870,16 @@ class ShardSupervisor:
 
     def _degrade(self, i: int, down: _WorkerDown) -> str:
         """Apply layer degradation for the respawn; describe it."""
-        layer = _attribute_layer(down)
-        if layer == "backend" and getattr(self._programs[i], "backend", None) != "numpy":
-            self._programs[i].backend = "numpy"
-            return "; numba implicated, pinning its backend to numpy"
+        shm_implicated = _implicates_shm(down)
         if (
             not self._degraded[i]
             and self._sender.mode == "shm"
-            and (layer == "shm" or self._restarts[i] >= 2)
+            and (shm_implicated or self._restarts[i] >= 2)
         ):
             self._degraded[i] = True
             why = (
                 "shared memory implicated"
-                if layer == "shm"
+                if shm_implicated
                 else "repeated failures"
             )
             return f"; {why}, degrading it to queue payloads"
@@ -997,18 +985,14 @@ class ShardSupervisor:
                 pass
 
 
-def _attribute_layer(down: _WorkerDown) -> str | None:
-    """Which layer (if any) the crash evidence implicates."""
+def _implicates_shm(down: _WorkerDown) -> bool:
+    """Whether the crash evidence implicates the shared-memory layer."""
     text = " ".join(
         part
         for part in (down.tb, repr(down.exc) if down.exc else "", str(down))
         if part
     ).lower()
-    if "numba" in text:
-        return "backend"
-    if any(
+    return any(
         marker in text
         for marker in ("shared_memory", "sharedmemory", "/dev/shm", "shmring")
-    ):
-        return "shm"
-    return None
+    )

@@ -7,11 +7,14 @@ and vectorized dedup produce exactly the edges the per-line parser and
 tuple-set dedup produce.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.exact_stream import ExactStreamingCounter
 from repro.errors import InvalidParameterError
 from repro.experiments.harness import stream_through
 from repro.generators import holme_kim
@@ -61,6 +64,21 @@ class TestEdgeBatch:
             EdgeBatch.from_edges([(0, 2**31)])
         with pytest.raises(InvalidParameterError, match="vertex ids"):
             EdgeBatch.from_edges([(-1, 2)])
+        # Non-integer ids are rejected, never truncated or coerced, with
+        # the same message the exact counter gives, naming the offender.
+        for bad, offender in (
+            ([[0.5, 1.7], [2.2, 3.9]], "0.5"),
+            ([(0, 1.5)], "1.5"),
+            ([("0", "1")], "'0'"),
+            (np.array([[True, False]]), "True"),
+        ):
+            with pytest.raises(
+                InvalidParameterError,
+                match=re.escape(f"vertex ids must be integers in [0, 2^31); got {offender}"),
+            ):
+                EdgeBatch.from_edges(bad)
+            with pytest.raises(InvalidParameterError, match=re.escape(offender)):
+                ExactStreamingCounter().update_batch(bad)
         with pytest.raises(InvalidParameterError, match=r"\(w, 2\)"):
             EdgeBatch.from_edges(np.zeros((3, 4), dtype=np.int64))
         # (w, 3) input is signed (third column = +1/-1), not a shape error.

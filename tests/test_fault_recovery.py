@@ -440,6 +440,27 @@ class TestFollowSourceResilience:
             got = _collect(source)
         assert got == self.EDGES_A
 
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize(
+        "signed, text",
+        [
+            (False, "0 1\n1 2\n3000000000 4\n2 0\n"),
+            (True, "0 1 +1\n1 2 +1\n3000000000 4 +1\n2 0 +1\n"),
+        ],
+        ids=["unsigned", "signed"],
+    )
+    def test_out_of_range_id_raises_not_scrubbed(self, tmp_path, signed, text):
+        """A well-formed line whose id is outside [0, 2^31) breaks the id
+        contract; it is not corruption, so both paths raise instead of
+        warning (the signed path used to drop the line and carry on)."""
+        path = tmp_path / "live.edges"
+        path.write_text(text)
+        source = FollowSource(path, poll_interval=0.01, idle_timeout=0.2, signed=signed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SourceRetryWarning)
+            with pytest.raises(InvalidParameterError, match="got 3000000000"):
+                _collect(source)
+
 
 # ---------------------------------------------------------------------------
 # checkpoint write failures

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import backend as kernel_backend
 from repro.core.vectorized import STATE_FIELDS, VectorizedTriangleCounter
 from repro.core.watch_index import WatchIndex
 from repro.errors import InvalidParameterError
@@ -30,19 +29,6 @@ from repro.generators import holme_kim
 from repro.streaming.batch import EdgeBatch
 
 EDGES = holme_kim(250, 3, 0.5, seed=4)
-
-#: Both kernel backends must reproduce the engine bit for bit; the
-#: numba leg skips where numba is not installed (CI runs it in a
-#: dedicated matrix job).
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not kernel_backend.numba_available(), reason="numba not installed"
-        ),
-    ),
-]
 
 #: SHA-256 over (state arrays, generator state) captured from the
 #: pre-watch-index dense engine (PR 4 tree) under these fixed
@@ -85,13 +71,11 @@ def force_index_paths(counter, *, compact_always=False):
 class TestGoldenSnapshot:
     @pytest.mark.parametrize("config", sorted(GOLDEN))
     @pytest.mark.parametrize("sparse", [True, False])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_pre_watch_index_engine(self, config, sparse, backend):
+    def test_matches_pre_watch_index_engine(self, config, sparse):
         r, seed, batch_size = config
-        with kernel_backend.use(backend):
-            counter = VectorizedTriangleCounter(r, seed=seed, sparse=sparse)
-            for start in range(0, len(EDGES), batch_size):
-                counter.update_batch(EDGES[start : start + batch_size])
+        counter = VectorizedTriangleCounter(r, seed=seed, sparse=sparse)
+        for start in range(0, len(EDGES), batch_size):
+            counter.update_batch(EDGES[start : start + batch_size])
         assert state_fingerprint(counter) == GOLDEN[config]
 
 
@@ -103,7 +87,6 @@ edge_streams = st.lists(
 
 
 class TestSparseDenseEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(deadline=None, max_examples=40)
     @given(
         edges=edge_streams,
@@ -114,7 +97,7 @@ class TestSparseDenseEquivalence:
         huge_ids=st.booleans(),
     )
     def test_bit_identical_across_streams_and_batch_sizes(
-        self, edges, r, seed, n_cuts, mode, huge_ids, backend
+        self, edges, r, seed, n_cuts, mode, huge_ids
     ):
         arr = np.asarray(edges, dtype=np.int64)
         if huge_ids:
@@ -122,20 +105,18 @@ class TestSparseDenseEquivalence:
         cut_rng = np.random.default_rng(seed)
         cuts = sorted(cut_rng.integers(0, arr.shape[0] + 1, size=n_cuts).tolist())
         bounds = [0, *cuts, arr.shape[0]]
-        with kernel_backend.use(backend):
-            sparse = VectorizedTriangleCounter(r, seed=seed, sparse=True)
-            dense = VectorizedTriangleCounter(r, seed=seed, sparse=False)
-            if mode != "auto":
-                force_index_paths(sparse, compact_always=mode == "forced-compact")
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if lo == hi:
-                    continue
-                sparse.update_batch(arr[lo:hi])
-                dense.update_batch(arr[lo:hi])
+        sparse = VectorizedTriangleCounter(r, seed=seed, sparse=True)
+        dense = VectorizedTriangleCounter(r, seed=seed, sparse=False)
+        if mode != "auto":
+            force_index_paths(sparse, compact_always=mode == "forced-compact")
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            sparse.update_batch(arr[lo:hi])
+            dense.update_batch(arr[lo:hi])
         assert_states_equal(sparse, dense)
         assert sparse.estimate() == dense.estimate()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(deadline=None, max_examples=25)
     @given(
         edges=edge_streams,
@@ -144,7 +125,7 @@ class TestSparseDenseEquivalence:
         batch_size=st.integers(1, 64),
     )
     def test_checkpoint_resume_mid_stream_is_bit_identical(
-        self, edges, r, seed, batch_size, backend
+        self, edges, r, seed, batch_size
     ):
         """Kill the sparse engine mid-stream, restore into a fresh one,
         finish; the result must equal an uninterrupted dense run (the
@@ -154,25 +135,23 @@ class TestSparseDenseEquivalence:
             arr[s : s + batch_size] for s in range(0, arr.shape[0], batch_size)
         ]
         half = len(batches) // 2
-        with kernel_backend.use(backend):
-            original = VectorizedTriangleCounter(r, seed=seed, sparse=True)
-            force_index_paths(original)
-            for batch in batches[:half]:
-                original.update_batch(batch)
-            snapshot = original.state_dict()
+        original = VectorizedTriangleCounter(r, seed=seed, sparse=True)
+        force_index_paths(original)
+        for batch in batches[:half]:
+            original.update_batch(batch)
+        snapshot = original.state_dict()
 
-            resumed = VectorizedTriangleCounter(1, seed=0, sparse=True)
-            force_index_paths(resumed)
-            resumed.load_state_dict(snapshot)
-            for batch in batches[half:]:
-                resumed.update_batch(batch)
+        resumed = VectorizedTriangleCounter(1, seed=0, sparse=True)
+        force_index_paths(resumed)
+        resumed.load_state_dict(snapshot)
+        for batch in batches[half:]:
+            resumed.update_batch(batch)
 
-            dense = VectorizedTriangleCounter(r, seed=seed, sparse=False)
-            for batch in batches:
-                dense.update_batch(batch)
+        dense = VectorizedTriangleCounter(r, seed=seed, sparse=False)
+        for batch in batches:
+            dense.update_batch(batch)
         assert_states_equal(resumed, dense)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(deadline=None, max_examples=20)
     @given(
         edges=edge_streams,
@@ -180,7 +159,7 @@ class TestSparseDenseEquivalence:
         r2=st.integers(1, 400),
         seed=st.integers(0, 10_000),
     )
-    def test_merge_then_continue_matches_dense(self, edges, r1, r2, seed, backend):
+    def test_merge_then_continue_matches_dense(self, edges, r1, r2, seed):
         """Sharded-style merge: two pools over the same stream combine,
         then keep streaming; the merged indexes rebuild from the merged
         arrays and stay consistent with a dense merge."""
@@ -201,8 +180,7 @@ class TestSparseDenseEquivalence:
                 a.update_batch(tail)
             return a
 
-        with kernel_backend.use(backend):
-            assert_states_equal(build(True), build(False))
+        assert_states_equal(build(True), build(False))
 
 
 class TestBoundedPrefilters:
@@ -309,13 +287,11 @@ class TestPhiRoundingClamp:
         return counter
 
     @pytest.mark.parametrize("sparse", [True, False])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_phi_is_clamped_to_total(self, sparse, backend):
+    def test_phi_is_clamped_to_total(self, sparse):
         total = 1 << 60
         assert 1 + int(1.0 * total) == total + 1  # the boundary actually trips
-        with kernel_backend.use(backend):
-            counter = self._engine_at_boundary(sparse)
-            counter.update_batch([(0, 2)])  # must not raise / misdecode
+        counter = self._engine_at_boundary(sparse)
+        counter.update_batch([(0, 2)])  # must not raise / misdecode
         assert (int(counter.r2u[0]), int(counter.r2v[0])) == (0, 2)
         assert int(counter.c[0]) == total
 

@@ -175,15 +175,13 @@ class TestExpandRanges:
     def test_expands_and_tags_ranges(self):
         lo = np.array([0, 3, 3, 7], dtype=np.int64)
         hi = np.array([2, 3, 6, 8], dtype=np.int64)
-        pos, qidx = _expand_ranges(lo, hi, np.arange(4, dtype=np.int64))
+        pos, qidx = _expand_ranges(lo, hi)
         assert pos.tolist() == [0, 1, 3, 4, 5, 7]
         assert qidx.tolist() == [0, 0, 2, 2, 2, 3]
 
     def test_all_empty(self):
         pos, qidx = _expand_ranges(
-            np.array([4], dtype=np.int64),
-            np.array([4], dtype=np.int64),
-            np.array([0], dtype=np.int64),
+            np.array([4], dtype=np.int64), np.array([4], dtype=np.int64)
         )
         assert pos.shape == qidx.shape == (0,)
 
