@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Eight gates. The first three compare against the repo's committed
+Eight gates. The first two compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -12,10 +12,16 @@ hot-path regression:
    pool regime that the output-sensitive watch-index path serves. The
    small-r gate alone would not notice this optimization regressing
    (small pools take the dense scans anyway), so large-r throughput is
-   pinned explicitly;
-3. a full ``Pipeline.run`` pass over the same dataset: the no-snapshot
-   mode of the driver shared by ``run`` and ``snapshots``, so a
-   refactor of that driver cannot silently slow the plain path down.
+   pinned explicitly.
+
+The third is self-relative: ``Pipeline.run`` with the ``count``
+estimator against a direct loop feeding the same ``TriangleCounter``
+``EdgeBatch.from_edges(stream).batches(8192)`` through ``update_batch``,
+over a ~480k-edge Holme-Kim stream at r=1,024, min of 5 interleaved
+runs each. Both end in the same estimate; the gate fails when direct
+time over pipeline time drops below 0.75, i.e. when the shared stream
+loop behind ``run`` and ``snapshots`` costs more than a third on top of the
+bare update loop.
 
 The fourth is self-relative (hardware-independent): with the
 shared-memory transport, 4 workers must process the stream at least
@@ -64,7 +70,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.runners import run_figure4, run_pipeline_throughput
+from repro.experiments.runners import run_figure4
 from repro.streaming.shm import shm_available
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
@@ -73,6 +79,8 @@ SHARD_SPEEDUP_FLOOR = 2.0
 JOURNAL_OVERHEAD_CEILING = 0.15
 #: The worker-shape gate: sparse time must not exceed dense time.
 WORKER_SHAPE_RATIO_FLOOR = 1.0
+#: The Pipeline.run gate: direct-loop time over ``Pipeline.run`` time.
+PIPELINE_RUN_RATIO_FLOOR = 0.75
 #: The exact-baseline gate: reference time over columnar time, per batch size.
 EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
 
@@ -88,6 +96,61 @@ def _gate(label: str, measured: float, baseline: float) -> bool:
             f"[throughput-gate] FAIL ({label}): throughput regressed more "
             f"than {100 * (1 - FLOOR_FRACTION):.0f}% against the committed "
             "BENCH_throughput.json",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
+def _pipeline_run_gate() -> bool:
+    import numpy as np
+
+    from repro.core.triangle_count import TriangleCounter
+    from repro.generators import holme_kim
+    from repro.streaming import Pipeline, derive_seed
+    from repro.streaming.batch import EdgeBatch
+
+    r, w = 1_024, 8_192
+    stream = np.array(holme_kim(120_000, 4, 0.3, seed=3), dtype=np.int64)
+
+    def direct() -> tuple[float, float]:
+        counter = TriangleCounter(r, seed=derive_seed(0, "count"))
+        t0 = time.perf_counter()
+        for batch in EdgeBatch.from_edges(stream).batches(w):
+            counter.update_batch(batch)
+        return time.perf_counter() - t0, counter.estimate()
+
+    def pipeline() -> tuple[float, float]:
+        pipe = Pipeline.from_registry(["count"], num_estimators=r, seed=0)
+        t0 = time.perf_counter()
+        pipe.run(stream, batch_size=w)
+        return time.perf_counter() - t0, pipe.estimator("count").estimate()
+
+    best = {"direct": float("inf"), "pipeline": float("inf")}
+    estimates = set()
+    for _ in range(5):
+        for name, run in (("direct", direct), ("pipeline", pipeline)):
+            seconds, estimate = run()
+            best[name] = min(best[name], seconds)
+            estimates.add(estimate)
+    ratio = best["direct"] / max(best["pipeline"], 1e-9)
+    print(
+        f"[throughput-gate] Pipeline.run r={r} w={w} "
+        f"({stream.shape[0]} edges): direct {best['direct']:.3f}s, "
+        f"Pipeline.run {best['pipeline']:.3f}s (direct/pipeline "
+        f"{ratio:.3f}, floor {PIPELINE_RUN_RATIO_FLOOR:.2f})"
+    )
+    if len(estimates) != 1:
+        print(
+            "[throughput-gate] FAIL (Pipeline.run): Pipeline.run and the "
+            f"direct loop disagree: estimates {sorted(estimates)}",
+            file=sys.stderr,
+        )
+        return False
+    if ratio < PIPELINE_RUN_RATIO_FLOOR:
+        print(
+            "[throughput-gate] FAIL (Pipeline.run): Pipeline.run costs "
+            "more than the floor allows over a direct update_batch loop",
             file=sys.stderr,
         )
         return False
@@ -293,26 +356,7 @@ def main() -> int:
             f"{dataset} @ r={r_large}", out["rows"][0][3], baseline_large
         ) and ok
 
-    driver = committed.get("pipeline_run")
-    if driver is None:
-        # Artifact predates the shared-driver gate; the next benchmark
-        # run rewrites it with the pipeline_run baseline included.
-        print("[throughput-gate] no committed pipeline_run baseline; skipping")
-    else:
-        measured = run_pipeline_throughput(
-            dataset=driver["dataset"],
-            estimator_names=tuple(driver["estimators"]),
-            num_estimators=driver["num_estimators"],
-            batch_size=driver["batch_size"],
-            trials=3,
-            verbose=False,
-        )
-        ok = _gate(
-            f"pipeline driver on {driver['dataset']}",
-            measured["medges_per_s"],
-            driver["medges_per_s"],
-        ) and ok
-
+    ok = _pipeline_run_gate() and ok
     ok = _shard_scaling_gate() and ok
     ok = _dynamic_gate(committed) and ok
     ok = _journal_overhead_gate(committed) and ok

@@ -140,6 +140,9 @@ def _validated(batch) -> EdgeBatch:
 class ExactStreamingCounter:
     """Exact triangle/wedge counts with the streaming ``update`` API."""
 
+    #: Reads the shared per-batch index (``batch.context``).
+    uses_batch_context = True
+
     def __init__(self) -> None:
         self._base = _EMPTY
         self._run = _EMPTY

@@ -48,7 +48,6 @@ import json
 import os
 import signal
 import sys
-import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -143,17 +142,18 @@ def _source(args: argparse.Namespace) -> FileSource:
     return FileSource(args.input, deduplicate=args.dedup, signed=args.signed)
 
 
-def _stream(counter, source: FileSource, batch_size: int) -> float:
-    """Drive ``counter`` over the lazy source; return elapsed seconds."""
-    start = time.perf_counter()
-    for batch in source.batches(batch_size):
-        counter.update_batch(batch)
-    return time.perf_counter() - start
+def _stream(name: str, estimator, args: argparse.Namespace) -> float:
+    """Run ``estimator`` over the input as the one-estimator pipeline
+    ``name``; return the pass's seconds. The report queries nothing:
+    the subcommand prints its own results (and makes ``sample``'s draws).
+    """
+    pipeline = Pipeline([(name, estimator)], reporters={name: lambda _: {}})
+    return pipeline.run(_source(args), batch_size=args.batch_size).seconds
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     counter = TriangleCounter(args.estimators, engine=args.engine, seed=args.seed)
-    elapsed = _stream(counter, _source(args), args.batch_size)
+    elapsed = _stream("count", counter, args)
     edges = counter.edges_seen
     print(f"edges: {edges:,}")
     print(f"estimated triangles: {counter.estimate():,.1f}")
@@ -165,7 +165,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_transitivity(args: argparse.Namespace) -> int:
     est = TransitivityEstimator(args.estimators, args.wedge_estimators, seed=args.seed)
-    elapsed = _stream(est, _source(args), args.batch_size)
+    elapsed = _stream("transitivity", est, args)
     print(f"edges: {est.edges_seen:,}")
     print(f"estimated triangles: {est.triangle_estimate():,.1f}")
     print(f"estimated wedges: {est.wedge_estimate():,.1f}")
@@ -176,7 +176,7 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     sampler = TriangleSampler(args.estimators, seed=args.seed)
-    _stream(sampler, _source(args), args.batch_size)
+    _stream("sample", sampler, args)
     triangles = sampler.sample(args.k)
     print(f"{args.k} uniform triangles (with replacement):")
     for tri in triangles:
@@ -186,7 +186,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     counter = ExactStreamingCounter()
-    elapsed = _stream(counter, _source(args), args.batch_size)
+    elapsed = _stream("exact", counter, args)
     print(f"edges: {counter.edges_seen:,}")
     print(f"triangles: {counter.triangles:,}")
     print(f"wedges: {counter.wedges:,}")

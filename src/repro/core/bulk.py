@@ -93,10 +93,6 @@ class BulkTriangleCounter:
         Seed for the engine's random source.
     """
 
-    #: This engine consumes the batch's tuple view only; a pipeline
-    #: fan-out need not build the shared array index on its account.
-    uses_batch_context = False
-
     def __init__(self, num_estimators: int, *, seed: int | None = None) -> None:
         if num_estimators < 1:
             raise ValueError(f"num_estimators must be >= 1, got {num_estimators}")
@@ -123,10 +119,6 @@ class BulkTriangleCounter:
             self._update_canonical(batch.tuples())
         else:
             self._update_canonical([canonical_edge(*e) for e in batch])
-
-    def update_prepared(self, batch: EdgeBatch) -> None:
-        """Columnar fast path: reuse the batch's cached canonical tuples."""
-        self._update_canonical(batch.tuples())
 
     def _update_canonical(self, edges: list[Edge]) -> None:
         if not edges:

@@ -179,8 +179,7 @@ class DynamicSamplerCounter:
         """
         from ..streaming.batch import VERTEX_LIMIT, EdgeBatch
 
-        if not isinstance(batch, EdgeBatch):
-            batch = EdgeBatch.from_edges(batch)
+        batch = EdgeBatch.from_edges(batch)
         events = len(batch)
         if events:
             array, signs = batch.array, batch.signs

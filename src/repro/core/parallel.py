@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidParameterError
+from ..streaming.pipeline import refuse_signed
 from ..streaming.source import as_source
 from ..streaming.supervisor import (
     EstimatorShardProgram,
@@ -133,7 +134,9 @@ class ParallelTriangleCounter:
             )
             for size, seed_seq in zip(self._shard_sizes(), seed_seqs)
         ]
-        run = self._executor.run(programs, as_source(edges), batch_size=batch_size)
+        source = as_source(edges)
+        refuse_signed(source, ["count"])
+        run = self._executor.run(programs, source, batch_size=batch_size)
         self.last_restarts = run.restarts
         states = [worker_states["count"] for worker_states, _ in run.finals]
         merged = VectorizedTriangleCounter(1, seed=seed_seqs[-1])

@@ -7,7 +7,7 @@ time ``t`` the graph of interest is every edge with
 over unchanged -- the chain is still the suffix minima of the
 priorities, expiry just pops by timestamp rather than position -- and
 the estimate scales by the *current* window size, which the counter
-tracks exactly with a timestamp deque.
+tracks exactly with one timestamp deque shared by all its samplers.
 
 Timestamps must be non-decreasing (a stream, not a log replay).
 """
@@ -26,8 +26,46 @@ from .sliding_window import _ChainLink
 __all__ = ["TimedWindowSampler", "TimedWindowTriangleCounter"]
 
 
+class _ExpiryClock:
+    """The window's clock: in-window arrival times, latest time, arrivals.
+
+    One clock per stream: a :class:`TimedWindowTriangleCounter` owns one
+    and its ``r`` samplers read it, so the in-window timestamps are held
+    once, not ``r`` times (O(w + r log w) state, per Theorem 5.8).
+    """
+
+    __slots__ = ("timestamps", "now", "edges_seen")
+
+    def __init__(self) -> None:
+        self.timestamps: deque[float] = deque()
+        self.now = float("-inf")
+        self.edges_seen = 0
+
+    def advance(self, timestamp: float, horizon: float) -> None:
+        """Count one arrival at ``timestamp``; keep only in-window times."""
+        if timestamp < self.now:
+            raise InvalidParameterError(
+                f"timestamps must be non-decreasing, got {timestamp} after {self.now}"
+            )
+        self.now = timestamp
+        self.edges_seen += 1
+        cutoff = timestamp - horizon
+        while self.timestamps and self.timestamps[0] <= cutoff:
+            self.timestamps.popleft()
+        self.timestamps.append(timestamp)
+
+    def load(self, state: dict) -> None:
+        self.edges_seen = int(state["edges_seen"])
+        self.now = float(state["now"])
+        self.timestamps = deque(float(t) for t in state["timestamps"])
+
+
 class TimedWindowSampler:
-    """One estimator over a timestamped stream with a time horizon."""
+    """One estimator over a timestamped stream with a time horizon.
+
+    A standalone sampler owns its expiry clock; the samplers of a
+    :class:`TimedWindowTriangleCounter` share their counter's.
+    """
 
     def __init__(
         self,
@@ -35,45 +73,45 @@ class TimedWindowSampler:
         seed: int | None = None,
         *,
         rng: RandomSource | None = None,
+        clock: _ExpiryClock | None = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
         self.horizon = horizon
         self._rng = rng if rng is not None else RandomSource(seed)
         self._chain: deque[_ChainLink] = deque()
-        self._timestamps: deque[float] = deque()  # all in-window arrival times
-        self.edges_seen = 0
-        self.now = float("-inf")
+        self._clock = clock if clock is not None else _ExpiryClock()
+
+    @property
+    def edges_seen(self) -> int:
+        return self._clock.edges_seen
+
+    @property
+    def now(self) -> float:
+        return self._clock.now
 
     def update(self, edge: tuple[int, int], timestamp: float) -> None:
         """Observe one edge at ``timestamp`` (non-decreasing)."""
-        if timestamp < self.now:
-            raise InvalidParameterError(
-                f"timestamps must be non-decreasing, got {timestamp} after {self.now}"
-            )
         e = canonical_edge(*edge)
-        self.now = timestamp
-        self.edges_seen += 1
-        self._expire(timestamp)
+        self._clock.advance(timestamp, self.horizon)
+        self._observe(e)
+
+    def _observe(self, e: tuple[int, int]) -> None:
+        """The chain step for the arrival the clock just counted."""
+        clock = self._clock
+        # Chain links store arrival positions; the clock's timestamps
+        # are the last len(clock.timestamps) arrivals, the current one
+        # included, so the window holds positions
+        # > edges_seen - len(clock.timestamps).
+        alive_from = clock.edges_seen - len(clock.timestamps) + 1
+        while self._chain and self._chain[0].pos < alive_from:
+            self._chain.popleft()
         for link in self._chain:
             link.observe(e, self._rng)
         rho = self._rng.random()
         while self._chain and self._chain[-1].rho >= rho:
             self._chain.pop()
-        self._chain.append(_ChainLink(e, self.edges_seen, rho))
-        self._timestamps.append(timestamp)
-
-    def _expire(self, timestamp: float) -> None:
-        cutoff = timestamp - self.horizon
-        while self._timestamps and self._timestamps[0] <= cutoff:
-            self._timestamps.popleft()
-        # Chain links store arrival positions; the surviving old edges
-        # are the last len(self._timestamps) arrivals before the current
-        # one (edges_seen already counts the incoming edge), i.e.
-        # positions >= edges_seen - len(self._timestamps).
-        alive_from = self.edges_seen - len(self._timestamps)
-        while self._chain and self._chain[0].pos < alive_from:
-            self._chain.popleft()
+        self._chain.append(_ChainLink(e, clock.edges_seen, rho))
 
     def state_dict(self) -> dict:
         """Snapshot: the chain, in-window timestamps, and rng state.
@@ -84,10 +122,10 @@ class TimedWindowSampler:
         """
         return {
             "horizon": self.horizon,
-            "edges_seen": self.edges_seen,
-            "now": self.now,
+            "edges_seen": self._clock.edges_seen,
+            "now": self._clock.now,
             "chain": [link.state_dict() for link in self._chain],
-            "timestamps": np.asarray(self._timestamps, dtype=np.float64),
+            "timestamps": np.asarray(self._clock.timestamps, dtype=np.float64),
             "rng": self._rng.getstate(),
         }
 
@@ -97,18 +135,19 @@ class TimedWindowSampler:
         if horizon <= 0:
             raise InvalidParameterError(f"horizon must be positive, got {horizon}")
         self.horizon = horizon
-        self.edges_seen = int(state["edges_seen"])
-        self.now = float(state["now"])
+        self._clock.load(state)
+        self._load_chain(state)
+
+    def _load_chain(self, state: dict) -> None:
         self._chain = deque(
             _ChainLink.from_state_dict(link) for link in state["chain"]
         )
-        self._timestamps = deque(float(t) for t in state["timestamps"])
         if state.get("rng") is not None:
             self._rng.setstate(state["rng"])
 
     def window_size(self) -> int:
         """Number of edges currently inside the horizon."""
-        return len(self._timestamps)
+        return len(self._clock.timestamps)
 
     def triangle_estimate(self) -> float:
         """Unbiased estimate of the window's triangle count."""
@@ -134,18 +173,25 @@ class TimedWindowTriangleCounter:
                 f"num_estimators must be >= 1, got {num_estimators}"
             )
         sources = spawn_sources(seed, num_estimators)
-        self._samplers = [TimedWindowSampler(horizon, rng=src) for src in sources]
+        self._clock = _ExpiryClock()
+        self._samplers = [
+            TimedWindowSampler(horizon, rng=src, clock=self._clock) for src in sources
+        ]
         self.horizon = horizon
-        self.edges_seen = 0
 
     @property
     def num_estimators(self) -> int:
         return len(self._samplers)
 
+    @property
+    def edges_seen(self) -> int:
+        return self._clock.edges_seen
+
     def update(self, edge: tuple[int, int], timestamp: float) -> None:
+        e = canonical_edge(*edge)
+        self._clock.advance(timestamp, self.horizon)
         for sampler in self._samplers:
-            sampler.update(edge, timestamp)
-        self.edges_seen += 1
+            sampler._observe(e)
 
     def update_batch(self, timed_edges) -> None:
         """Observe ``(edge, timestamp)`` pairs in order."""
@@ -153,7 +199,7 @@ class TimedWindowTriangleCounter:
             self.update(edge, timestamp)
 
     def window_size(self) -> int:
-        return self._samplers[0].window_size()
+        return len(self._clock.timestamps)
 
     def estimate(self) -> float:
         values = [s.triangle_estimate() for s in self._samplers]
@@ -170,18 +216,23 @@ class TimedWindowTriangleCounter:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
-        Adopts the snapshot's horizon and pool size wholesale.
+        Adopts the snapshot's horizon and pool size wholesale. Every
+        sampler state carries the same clock; the first one is loaded
+        into the one clock the new pool shares.
         """
+        if not state["samplers"]:
+            raise InvalidParameterError("state dict holds no samplers")
+        horizon = float(state["horizon"])
+        clock = _ExpiryClock()
+        clock.load(state["samplers"][0])
         samplers = []
         for sampler_state in state["samplers"]:
-            sampler = TimedWindowSampler(float(state["horizon"]))
-            sampler.load_state_dict(sampler_state)
+            sampler = TimedWindowSampler(horizon, clock=clock)
+            sampler._load_chain(sampler_state)
             samplers.append(sampler)
-        if not samplers:
-            raise InvalidParameterError("state dict holds no samplers")
+        self._clock = clock
         self._samplers = samplers
-        self.horizon = float(state["horizon"])
-        self.edges_seen = int(state["edges_seen"])
+        self.horizon = horizon
 
     def merge(self, other: "TimedWindowTriangleCounter") -> None:
         """Absorb ``other``'s sampler pool (same stream, same horizon)."""
@@ -194,4 +245,6 @@ class TimedWindowTriangleCounter:
                 "cannot merge counters that observed different streams "
                 f"({other.edges_seen} edges vs {self.edges_seen})"
             )
+        for sampler in other._samplers:
+            sampler._clock = self._clock  # same stream, same clock
         self._samplers.extend(other._samplers)

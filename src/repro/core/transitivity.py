@@ -33,6 +33,8 @@ class WedgeCounter:
     rides along at no asymptotic cost.
     """
 
+    uses_batch_context = True
+
     def __init__(self, num_estimators: int, *, seed: int | None = None) -> None:
         self._engine = VectorizedTriangleCounter(num_estimators, seed=seed)
 
@@ -49,10 +51,6 @@ class WedgeCounter:
 
     def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
         self._engine.update_batch(batch)
-
-    def update_prepared(self, batch) -> None:
-        """Columnar fast path (shared prepared ``EdgeBatch``)."""
-        self._engine.update_prepared(batch)
 
     def estimates(self) -> np.ndarray:
         """Per-estimator unbiased wedge estimates ``m * c``."""
@@ -92,6 +90,8 @@ class TransitivityEstimator:
         sub-seeds.
     """
 
+    uses_batch_context = True
+
     def __init__(
         self,
         num_triangle_estimators: int,
@@ -122,11 +122,6 @@ class TransitivityEstimator:
         """Observe a batch of stream edges with both pools."""
         self._triangles.update_batch(batch)
         self._wedges.update_batch(batch)
-
-    def update_prepared(self, batch) -> None:
-        """Columnar fast path: both pools share the prepared batch."""
-        self._triangles.update_prepared(batch)
-        self._wedges.update_prepared(batch)
 
     def state_dict(self) -> dict:
         """Both pools' snapshots (checkpoint/ship surface)."""

@@ -221,18 +221,7 @@ class TriangleCounter:
     @property
     def uses_batch_context(self) -> bool:
         """Whether the engine reads the shared per-batch array index."""
-        return getattr(self._engine, "uses_batch_context", True)
-
-    def update_prepared(self, batch) -> None:
-        """Columnar fast path: forward a prepared
-        :class:`~repro.streaming.batch.EdgeBatch` to the engine's
-        ``update_prepared`` when it has one (the vectorized and bulk
-        engines do), else to ``update_batch``."""
-        fast = getattr(self._engine, "update_prepared", None)
-        if fast is not None:
-            fast(batch)
-        else:
-            self._engine.update_batch(batch)
+        return getattr(self._engine, "uses_batch_context", False)
 
     def state_dict(self) -> dict:
         """The engine's serializable state (checkpoint/ship surface).

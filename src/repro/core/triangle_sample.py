@@ -20,6 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import EmptyStreamError, InsufficientSampleError, InvalidParameterError
+from ..streaming.batch import EdgeBatch
 from .vectorized import VectorizedTriangleCounter
 
 __all__ = ["TriangleSampler"]
@@ -44,6 +45,8 @@ class TriangleSampler:
     seed:
         Seed for reproducibility.
     """
+
+    uses_batch_context = True
 
     def __init__(
         self,
@@ -72,14 +75,10 @@ class TriangleSampler:
         """Observe one stream edge."""
         self.update_batch([edge])
 
-    def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
+    def update_batch(self, batch: Sequence[tuple[int, int]] | EdgeBatch) -> None:
         """Observe a batch of stream edges."""
+        batch = EdgeBatch.from_edges(batch)
         self._engine.update_batch(batch)
-        self._track_degrees(batch)
-
-    def update_prepared(self, batch) -> None:
-        """Columnar fast path (shared prepared ``EdgeBatch``)."""
-        self._engine.update_prepared(batch)
         if self._degrees is not None:
             # Vectorized degree accumulation: only the (much smaller)
             # set of distinct batch vertices touches the Python dict.
@@ -87,12 +86,6 @@ class TriangleSampler:
             degrees = self._degrees
             for vertex, count in zip(verts.tolist(), counts.tolist()):
                 degrees[vertex] = degrees.get(vertex, 0) + count
-
-    def _track_degrees(self, batch: Sequence[tuple[int, int]]) -> None:
-        if self._degrees is not None:
-            for u, v in batch:
-                self._degrees[u] = self._degrees.get(u, 0) + 1
-                self._degrees[v] = self._degrees.get(v, 0) + 1
 
     # ------------------------------------------------------------------
     # checkpoint/ship surface

@@ -232,8 +232,7 @@ class TriestFdCounter:
         """
         from ..streaming.batch import EdgeBatch
 
-        if not isinstance(batch, EdgeBatch):
-            batch = EdgeBatch.from_edges(batch)
+        batch = EdgeBatch.from_edges(batch)
         rows = batch.tuples()
         signs = None if batch.signs is None else batch.signs.tolist()
         for sampler in self._samplers:

@@ -50,10 +50,9 @@ The per-batch tables live in :class:`repro.streaming.batch.BatchContext`
 fan-out builds them once per batch for all estimators) -- including the
 unique-vertex / unique-edge-key intersection views the watch indexes
 query, so ``n`` fanned-out estimators share one intersection
-precomputation per batch; this engine implements the
-:class:`~repro.streaming.protocol.PreparedEstimator` fast path, and
-``update_batch`` remains the compatibility entry point with
-bit-identical randomness consumption.
+precomputation per batch; the engine sets ``uses_batch_context`` so a
+fan-out builds that index up front. ``update_batch`` accepts any edge
+collection and defers to :meth:`update_prepared`, its body.
 """
 
 from __future__ import annotations
@@ -162,6 +161,9 @@ class VectorizedTriangleCounter:
     only rebuilt on :meth:`load_state_dict`/:meth:`merge`.
     """
 
+    #: Steps 2-3 read the shared per-batch index (``batch.context``).
+    uses_batch_context = True
+
     #: Scan the full pool in step 2 when ``r`` is at most this fraction
     #: of the batch's unique vertices (index intersection costs more
     #: than it saves), and likewise in step 3 against the batch width.
@@ -226,16 +228,15 @@ class VectorizedTriangleCounter:
     ) -> None:
         """Process a batch of ``w`` edges (Section 3.3 semantics).
 
-        The compatibility entry point: coerces ``batch`` to an
-        :class:`~repro.streaming.batch.EdgeBatch` (validation and
-        canonicalization as always) and defers to
-        :meth:`update_prepared`. Randomness consumption is identical
-        on both paths.
+        Coerces ``batch`` to an :class:`~repro.streaming.batch.EdgeBatch`
+        (an ``EdgeBatch`` is returned unchanged; anything else is
+        validated and canonicalized) and defers to
+        :meth:`update_prepared`.
         """
         self.update_prepared(EdgeBatch.from_edges(batch))
 
     def update_prepared(self, batch: EdgeBatch) -> None:
-        """Columnar fast path: consume a prepared, validated batch.
+        """Consume a validated batch: the body behind :meth:`update_batch`.
 
         Skips conversion and validation and reuses ``batch.context``
         (the per-batch index), which a pipeline fan-out builds exactly

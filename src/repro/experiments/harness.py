@@ -17,7 +17,8 @@ from typing import Callable, Protocol, Sequence
 
 from ..errors import InvalidParameterError
 from ..graph.edge import Edge
-from ..streaming.source import EdgeSource, as_source
+from ..streaming.pipeline import Pipeline
+from ..streaming.source import EdgeSource
 
 __all__ = ["TrialStats", "run_trials", "stream_through", "time_file_read"]
 
@@ -36,13 +37,12 @@ def stream_through(
 
     ``edges`` is anything :func:`~repro.streaming.source.as_source`
     accepts: an in-memory sequence (the historical calling convention),
-    a file path, a generator, or an :class:`EdgeSource`.
+    a file path, a generator, or an :class:`EdgeSource`. The pass is a
+    one-estimator :class:`~repro.streaming.pipeline.Pipeline` run whose
+    report queries nothing.
     """
-    source = as_source(edges)
-    start = time.perf_counter()
-    for batch in source.batches(batch_size):
-        counter.update_batch(batch)
-    return time.perf_counter() - start
+    pipeline = Pipeline([("counter", counter)], reporters={"counter": lambda _: {}})
+    return pipeline.run(edges, batch_size=batch_size).seconds
 
 
 def time_file_read(path: str | os.PathLike) -> float:

@@ -159,7 +159,9 @@ def _chunks_from_handle(
             # remainder line by line, skipping what was emitted.
             if path is not None:
                 with open(path, "r", encoding="utf-8") as reread:
-                    yield from _ragged_row_chunks(reread, consumed, max_rows)
+                    yield from _ragged_row_chunks(
+                        reread, consumed, max_rows, numbered=True
+                    )
                 return
             if start is not None:
                 handle.seek(start)
@@ -183,7 +185,7 @@ def _chunks_from_handle(
 
 
 def _ragged_row_chunks(
-    lines: Iterable[str], skip_rows: int, max_rows: int
+    lines: Iterable[str], skip_rows: int, max_rows: int, *, numbered: bool = False
 ) -> Iterator[np.ndarray]:
     """Careful per-line parse for ragged inputs: first two fields per row.
 
@@ -191,11 +193,14 @@ def _ragged_row_chunks(
     rows :func:`numpy.loadtxt` counts) were already emitted by the fast
     path and are skipped so the combined stream has every edge once.
     ``lines`` is any iterable of text lines (an open handle positioned
-    at the start of the stream's text).
+    at the start of the stream's text). A line without two integer
+    fields raises :class:`~repro.errors.InvalidParameterError` quoting
+    it, prefixed with its physical line number when ``numbered`` (the
+    lines start at the top of a file).
     """
     rows: list[tuple[int, int]] = []
     data_rows = 0
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -203,7 +208,13 @@ def _ragged_row_chunks(
         if data_rows <= skip_rows:
             continue
         parts = stripped.split()
-        rows.append((int(parts[0]), int(parts[1])))
+        try:
+            rows.append((int(parts[0]), int(parts[1])))
+        except (IndexError, ValueError):
+            where = f"line {lineno}: " if numbered else ""
+            raise InvalidParameterError(
+                f"{where}cannot parse {stripped!r} as an edge"
+            ) from None
         if len(rows) >= max_rows:
             arr = _canonical_rows(np.array(rows, dtype=np.int64).reshape(-1, 2))
             rows = []

@@ -70,7 +70,6 @@ from .pipeline import (
 from .protocol import (
     BatchedEstimator,
     CheckpointableEstimator,
-    PreparedEstimator,
     StreamingEstimator,
 )
 from .registry import (
@@ -129,7 +128,6 @@ __all__ = [
     "Pipeline",
     "PipelineReport",
     "PipelineSnapshot",
-    "PreparedEstimator",
     "Registry",
     "ShardSupervisor",
     "ShardedPipeline",

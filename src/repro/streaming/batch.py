@@ -128,7 +128,12 @@ class EdgeBatch(Sequence):
                     "cannot attach signs to an existing EdgeBatch"
                 )
             return edges
-        arr = np.asarray(edges)
+        try:
+            arr = np.asarray(edges)
+        except ValueError as exc:  # ragged rows
+            raise InvalidParameterError(
+                "batch must be an (w, 2) array of edges"
+            ) from exc
         if signs is None and arr.ndim == 2 and arr.shape[1] == 3:
             signs, arr = arr[:, 2], arr[:, :2]
         if signs is not None:

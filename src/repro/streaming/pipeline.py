@@ -50,10 +50,11 @@ from .checkpoint import (
 )
 from .journal import DEFAULT_SEGMENT_BYTES, JournalWriter, journal_records
 from .registry import ESTIMATORS, _default_report
-from .source import _COERCE_ERRORS, EdgeSource, as_source
+from .source import EdgeSource, as_source
 
 __all__ = [
     "FanOut",
+    "refuse_signed",
     "Pipeline",
     "PipelineReport",
     "PipelineSnapshot",
@@ -191,28 +192,39 @@ class PipelineSnapshot(PipelineReport):
         )
 
 
+def refuse_signed(source, insert_only: Sequence[str]) -> None:
+    """Reject a signed ``source`` aimed at any ``insert_only`` estimator.
+
+    Every front-end runs this before any update or worker spawn.
+    Reading ``source.signed`` coerces an in-memory source, so bad
+    in-memory input fails here too.
+    """
+    if getattr(source, "signed", False) and insert_only:
+        raise InvalidParameterError(
+            "source is a signed (turnstile) stream, but estimator(s) "
+            f"{list(insert_only)} are insert-only and would silently count "
+            "deletions as insertions; use deletion-capable estimators "
+            "('triest-fd', 'dynamic-sampler') for signed input"
+        )
+
+
 class FanOut:
     """One batch to every estimator: the step every stream driver shares.
 
     :meth:`Pipeline._drive` and every shard worker
     (:class:`~repro.streaming.supervisor.EstimatorShardProgram`) feed
-    their batches through here. :meth:`consume` runs the four steps in
-    order -- coerce to a columnar :class:`EdgeBatch`, refuse signed
-    batches for insert-only estimators, build the shared per-batch
-    index once, run each estimator's timed update (the prepared fast
-    path where it has one). The pipeline calls the steps one by one so
-    it can journal a batch between coercion and the index build.
+    their :class:`EdgeBatch` batches through here. :meth:`consume` is
+    :meth:`prepare` (refuse signed batches for insert-only estimators,
+    build the shared per-batch index once when any estimator sets
+    ``uses_batch_context``) then :meth:`update` (each estimator's timed
+    ``update_batch``). The pipeline calls the two apart so preparation
+    counts as stream-side time and the journal append sits between.
     """
 
     def __init__(self, pairs: Sequence[tuple[str, Any]]) -> None:
         self.pairs = list(pairs)
-        self._fast = [getattr(est, "update_prepared", None) for _, est in self.pairs]
-        # Build the shared per-batch index only when some fast-path
-        # estimator actually reads it (a pure tuple consumer like the
-        # bulk engine sets uses_batch_context = False).
         self._want_context = any(
-            fast is not None and getattr(est, "uses_batch_context", True)
-            for (_, est), fast in zip(self.pairs, self._fast)
+            getattr(est, "uses_batch_context", False) for _, est in self.pairs
         )
         self.insert_only = [
             name
@@ -221,13 +233,7 @@ class FanOut:
         ]
         self.timings = {name: 0.0 for name, _ in self.pairs}
 
-    def prepare(self, batch):
-        """``batch`` as an :class:`EdgeBatch`, or unchanged if it cannot be one."""
-        if not isinstance(batch, EdgeBatch):
-            try:
-                batch = EdgeBatch.from_edges(batch)
-            except _COERCE_ERRORS:
-                return batch
+    def prepare(self, batch: EdgeBatch) -> None:
         if self.insert_only and batch.signs is not None:
             # Sources that cannot declare themselves signed up front
             # (a generator of (u, v, sign) triples) are caught here,
@@ -237,25 +243,17 @@ class FanOut:
                 f"{self.insert_only}; deletions would be silently "
                 "counted as insertions"
             )
-        return batch
-
-    def build_context(self, batch) -> None:
-        if self._want_context and isinstance(batch, EdgeBatch):
+        if self._want_context:
             batch.context  # noqa: B018 -- build the shared index once
 
-    def update(self, batch) -> None:
-        prepared = isinstance(batch, EdgeBatch)
-        for (name, estimator), fast in zip(self.pairs, self._fast):
+    def update(self, batch: EdgeBatch) -> None:
+        for name, estimator in self.pairs:
             t0 = time.perf_counter()
-            if fast is not None and prepared:
-                fast(batch)
-            else:
-                estimator.update_batch(batch)
+            estimator.update_batch(batch)
             self.timings[name] += time.perf_counter() - t0
 
-    def consume(self, batch) -> None:
-        batch = self.prepare(batch)
-        self.build_context(batch)
+    def consume(self, batch: EdgeBatch) -> None:
+        self.prepare(batch)
         self.update(batch)
 
 
@@ -462,15 +460,15 @@ class Pipeline:
 
         ``source`` is anything :func:`~repro.streaming.source.as_source`
         accepts. Each batch is prepared exactly once no matter how many
-        estimators are registered: the source's columnar
-        :class:`~repro.streaming.batch.EdgeBatch` is shared, its
-        per-batch index is built once (when any estimator implements the
-        :class:`~repro.streaming.protocol.PreparedEstimator` fast path)
-        -- including the unique-vertex / unique-edge-key views the
-        output-sensitive vectorized engines intersect against their
-        watch indexes, so ``n`` fanned-out engines share one
-        intersection precomputation per batch -- and per-edge
-        estimators share the batch's one tuple materialization. Per-estimator wall-clock time is accumulated
+        estimators are registered: every estimator's ``update_batch``
+        receives the same :class:`~repro.streaming.batch.EdgeBatch`, its
+        per-batch index is built once up front (when any estimator sets
+        ``uses_batch_context``) -- including the unique-vertex /
+        unique-edge-key views the output-sensitive vectorized engines
+        intersect against their watch indexes, so ``n`` fanned-out
+        engines share one intersection precomputation per batch -- and
+        per-edge estimators share the batch's one tuple
+        materialization. Per-estimator wall-clock time is accumulated
         around each update call; stream reading plus batch preparation
         is reported separately as ``io_seconds`` (the paper's Table 3
         I/O split).
@@ -544,8 +542,8 @@ class Pipeline:
     ) -> Iterator[PipelineSnapshot]:
         """Stream ``source`` like :meth:`run`, yielding live snapshots.
 
-        A generator over the same stream pass as :meth:`run` (same fast
-        paths, shared batch context, resume-skip, and checkpoint hooks
+        A generator over the same stream pass as :meth:`run` (same
+        shared batch context, resume-skip, and checkpoint hooks
         -- the two share :meth:`_drive`), yielding a
         :class:`PipelineSnapshot` after every ``every``-th batch of the
         global stream position and a ``final`` snapshot when the stream
@@ -626,13 +624,7 @@ class Pipeline:
             )
         src: EdgeSource = as_source(source)
         fanout = FanOut(self._pairs)
-        if getattr(src, "signed", False) and fanout.insert_only:
-            raise InvalidParameterError(
-                "source is a signed (turnstile) stream, but estimator(s) "
-                f"{fanout.insert_only} are insert-only and would silently count "
-                "deletions as insertions; use deletion-capable estimators "
-                "('triest-fd', 'dynamic-sampler') for signed input"
-            )
+        refuse_signed(src, fanout.insert_only)
         resume = self._resume
         remaining = 0
         base_edges = 0
@@ -853,6 +845,9 @@ class Pipeline:
             else:
                 skip_left[0] = state["remaining"]
             for source_batch in src.batches(batch_size):
+                # Third-party sources may yield plain edge lists; every
+                # batch past this point is an EdgeBatch.
+                source_batch = EdgeBatch.from_edges(source_batch)
                 if skip_left[0]:
                     # Replaying a resumed stream: checkpoints land on
                     # batch boundaries, so whole batches are skipped
@@ -862,10 +857,7 @@ class Pipeline:
                     if w <= skip_left[0]:
                         skip_left[0] -= w
                         continue
-                    if isinstance(source_batch, EdgeBatch):
-                        source_batch = source_batch[skip_left[0] :]
-                    else:
-                        source_batch = list(source_batch)[skip_left[0] :]
+                    source_batch = source_batch[skip_left[0] :]
                     skip_left[0] = 0
                 yield source_batch, None, True
 
@@ -879,24 +871,17 @@ class Pipeline:
                         io_seconds += time.perf_counter() - t0
                         break
                     batch, journal_position, fresh = item
-                    batch = fanout.prepare(batch)
+                    fanout.prepare(batch)
                     if journal is not None and fresh:
                         # Append-before-deliver: the record is on disk
                         # (and flushed) before any estimator sees the
                         # batch, so a kill cannot lose delivered edges.
-                        if not isinstance(batch, EdgeBatch):
-                            raise InvalidParameterError(
-                                "journaling requires columnar batches; the "
-                                "source yielded edges EdgeBatch cannot "
-                                "represent"
-                            )
                         journal_position = journal.append(batch)
                     if journal_position is not None:
                         self._progress["journal"] = {
                             "segment": journal_position[0],
                             "offset": journal_position[1],
                         }
-                    fanout.build_context(batch)
                     io_seconds += time.perf_counter() - t0
                     batches += 1
                     edges += len(batch)

@@ -16,7 +16,7 @@ protocols are structural: nothing needs to inherit from them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import EdgeBatch
@@ -25,10 +25,7 @@ __all__ = [
     "StreamingEstimator",
     "BatchedEstimator",
     "CheckpointableEstimator",
-    "PreparedEstimator",
 ]
-
-Edge = tuple[int, int]
 
 
 @runtime_checkable
@@ -45,7 +42,7 @@ class StreamingEstimator(Protocol):
     reporter; see ``live_report`` on
     :class:`~repro.streaming.registry.EstimatorSpec`.
 
-    Estimators additionally declare a capability flag:
+    Estimators additionally declare two capability flags:
 
     ``supports_deletions``
         ``True`` when the estimator understands turnstile (signed)
@@ -58,33 +55,18 @@ class StreamingEstimator(Protocol):
         *before* streaming a signed source and reject the combination
         up front, so a deletion can never be silently counted as an
         insertion.
+    ``uses_batch_context``
+        ``True`` when ``update_batch`` reads ``batch.context``, the
+        shared per-batch index: a fan-out then builds it once, up
+        front, as batch preparation. Absent or ``False``: built lazily.
     """
 
-    def update_batch(self, batch: Sequence[Edge]) -> None:
+    def update_batch(self, batch: "EdgeBatch") -> None:
         """Observe a batch of stream edges (order within the batch counts)."""
         ...
 
     def estimate(self) -> float:
         """The current aggregated estimate (a pure, repeatable query)."""
-        ...
-
-
-@runtime_checkable
-class PreparedEstimator(StreamingEstimator, Protocol):
-    """A :class:`StreamingEstimator` with a columnar fast path.
-
-    ``update_prepared`` receives a validated, canonicalized
-    :class:`~repro.streaming.batch.EdgeBatch` whose per-batch index
-    (``batch.context``) is built at most once and shared by every
-    estimator in a :class:`~repro.streaming.pipeline.Pipeline` fan-out,
-    so implementors skip conversion, validation, and index construction
-    entirely. Must consume randomness identically to ``update_batch``
-    on the same edges: the two entry points are interchangeable under a
-    fixed seed (the equivalence the test suite asserts).
-    """
-
-    def update_prepared(self, batch: "EdgeBatch") -> None:
-        """Observe a prepared columnar batch of stream edges."""
         ...
 
 

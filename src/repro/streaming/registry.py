@@ -15,12 +15,11 @@ Two registries back the pluggable surfaces of the package:
   CLI's ``pipeline`` subcommand instantiate by name.
 
 Registered objects need nothing beyond the
-:class:`~repro.streaming.protocol.StreamingEstimator` surface; those
-that also implement
-:class:`~repro.streaming.protocol.PreparedEstimator`'s
-``update_prepared`` automatically get the pipeline's columnar fast
-path (shared :class:`~repro.streaming.batch.EdgeBatch` + per-batch
-index, built once per batch for the whole fan-out).
+:class:`~repro.streaming.protocol.StreamingEstimator` surface: their
+``update_batch`` receives the pipeline's shared
+:class:`~repro.streaming.batch.EdgeBatch`, and those that set
+``uses_batch_context`` get its per-batch index built once per batch for
+the whole fan-out.
 
 Both registries raise :class:`~repro.errors.InvalidParameterError` with
 the list of known names on a miss, so a CLI typo produces an actionable

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from .journal import DEFAULT_SEGMENT_BYTES
-from .pipeline import EstimatorReport, PipelineReport
+from .pipeline import EstimatorReport, PipelineReport, refuse_signed
 from .registry import ESTIMATORS, _default_report
 from .source import as_source
 from .supervisor import (
@@ -283,13 +283,7 @@ class ShardedPipeline:
                 ) from exc
             if not getattr(probe, "supports_deletions", False):
                 insert_only.append(name)
-        if getattr(source, "signed", False) and insert_only:
-            raise InvalidParameterError(
-                "source is a signed (turnstile) stream, but estimator(s) "
-                f"{insert_only} are insert-only and would silently count "
-                "deletions as insertions; use deletion-capable estimators "
-                "('triest-fd', 'dynamic-sampler') for signed input"
-            )
+        refuse_signed(source, insert_only)
         start = time.perf_counter()
         run = self._executor.run(
             [EstimatorShardProgram(worker) for worker in specs],

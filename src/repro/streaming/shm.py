@@ -386,8 +386,8 @@ class TransportFeed:
 
     Shared-memory descriptors come back as zero-copy :class:`EdgeBatch`
     views (released as soon as the consumer advances past them), raw
-    arrays as plain batches, anything else (tuple lists, control
-    tuples) verbatim.
+    wire arrays as :class:`EdgeBatch` objects, and control tuples
+    verbatim.
     """
 
     def __init__(self, queue, client: ShmRingClient | None = None) -> None:
@@ -432,7 +432,7 @@ class BatchSender:
 
     One instance per multiprocess run. Each stream batch goes on the
     worker queues as a ring :meth:`descriptor` when the ring takes it,
-    else as its :meth:`raw` pickled payload (the array or tuple list).
+    else as its :meth:`raw` pickled payload (the batch's wire array).
     """
 
     def __init__(
@@ -467,7 +467,7 @@ class BatchSender:
         """Worker ``consumer``'s handle (``None`` on the queue path)."""
         return self._ring.client(consumer) if self._ring is not None else None
 
-    def descriptor(self, batch, alive=None, consumers=None):
+    def descriptor(self, batch: EdgeBatch, alive=None, consumers=None):
         """A ring descriptor for ``batch``, or ``None`` (no fallback).
 
         A descriptor is enqueued only to the workers it was stamped
@@ -476,14 +476,14 @@ class BatchSender:
         batches ride the pickled payload, leaving the zero-copy path
         insert-only and untouched.
         """
-        if self._ring is None or not isinstance(batch, EdgeBatch):
+        if self._ring is None:
             return None
         return self._ring.send(batch.wire, alive, consumers)
 
     @staticmethod
-    def raw(batch):
+    def raw(batch: EdgeBatch) -> np.ndarray:
         """The pickled-queue payload for ``batch`` (also the replay form)."""
-        return batch.wire if isinstance(batch, EdgeBatch) else list(batch)
+        return batch.wire
 
     def revoke(self, consumer: int) -> None:
         """Free every ring reference ``consumer`` holds (crash recovery)."""

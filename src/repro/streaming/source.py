@@ -39,12 +39,11 @@ all but the last of exactly ``batch_size`` edges), so estimators driven
 from a file and from the equivalent in-memory list consume their RNG
 identically and produce bit-identical results under a fixed seed.
 
-For the in-memory sources, inputs the columnar form cannot represent
-(self-loops destined for a tolerant per-edge consumer, ids outside
-``[0, 2^31)``, exotic objects) fall back to the plain tuple-batch
-path, preserving the historical behaviour. :class:`FileSource` is
-columnar only: its files must keep vertex ids in ``[0, 2^31)`` (the
-engines' packed-key domain, which every SNAP graph satisfies).
+Every source yields :class:`~repro.streaming.batch.EdgeBatch` objects
+only, so vertex ids must lie in ``[0, 2^31)`` (the engines' packed-key
+domain, which every SNAP graph satisfies). In-memory input that breaks
+:meth:`EdgeBatch.from_edges`'s contract (ids, self-loops, shape) raises
+its named error before the first batch.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from ..graph.io import (
     iter_edge_array_chunks,
     iter_signed_edge_array_chunks,
 )
-from ..graph.stream import EdgeStream, batched
+from ..graph.stream import EdgeStream
 from . import faults as _faults
 from .batch import EdgeBatch, rebatch_arrays
 
@@ -89,8 +88,9 @@ __all__ = [
     "batched_iter",
 ]
 
-#: Exceptions that mean "this input has no columnar form" -- the source
-#: then serves plain tuple batches exactly as it did pre-refactor.
+#: Exceptions that mean "this text does not parse as edges" -- the set a
+#: :class:`FollowSource` scrubs unparseable lines on, rather than
+#: ending a live stream over one bad line.
 _COERCE_ERRORS = (InvalidParameterError, ValueError, TypeError, OverflowError)
 
 #: Bytes a follow-mode poll reads per ``read`` call (~1 MiB, the chunk
@@ -134,12 +134,12 @@ class EdgeSource(ABC):
     signed: bool = False
 
     @abstractmethod
-    def batches(self, batch_size: int) -> Iterator[Sequence[Edge]]:
+    def batches(self, batch_size: int) -> Iterator[EdgeBatch]:
         """Yield the stream as consecutive batches of ``batch_size``.
 
-        Batches are :class:`~repro.streaming.batch.EdgeBatch` objects
-        whenever the input admits the columnar form (plain tuple lists
-        otherwise); both behave as sequences of ``(u, v)`` tuples.
+        Each batch is a validated, canonical
+        :class:`~repro.streaming.batch.EdgeBatch` (which also behaves
+        as a sequence of ``(u, v)`` tuples).
         """
 
     def __iter__(self) -> Iterator[Edge]:
@@ -232,34 +232,25 @@ class MemorySource(EdgeSource):
 
     The collection is coerced to one columnar
     :class:`~repro.streaming.batch.EdgeBatch` on first use (validated
-    and canonicalized exactly once); batches are zero-copy slices of
-    that array. Inputs without a columnar form are served as plain
-    tuple slices instead.
+    and canonicalized exactly once, so bad input fails before any
+    batch is served); batches are zero-copy slices of that array.
     """
 
     def __init__(self, edges: Sequence[Edge] | EdgeStream | np.ndarray | EdgeBatch) -> None:
         self._edges = edges
         self._columnar: EdgeBatch | None = None
-        self._coerced = False
 
-    def _whole(self) -> EdgeBatch | None:
-        """The full stream as one EdgeBatch, or None if not coercible."""
-        if not self._coerced:
-            self._coerced = True
+    def _whole(self) -> EdgeBatch:
+        """The full stream as one EdgeBatch (coerced on first use)."""
+        if self._columnar is None:
             raw = self._edges
             if isinstance(raw, EdgeStream):
                 raw = raw.edges
-            try:
-                self._columnar = EdgeBatch.from_edges(raw)
-            except _COERCE_ERRORS:
-                self._columnar = None
+            self._columnar = EdgeBatch.from_edges(raw)
         return self._columnar
 
-    def batches(self, batch_size: int) -> Iterator[Sequence[Edge]]:
-        whole = self._whole()
-        if whole is None:
-            return batched(self._edges, batch_size)
-        return whole.batches(batch_size)
+    def batches(self, batch_size: int) -> Iterator[EdgeBatch]:
+        return self._whole().batches(batch_size)
 
     @property
     def signed(self) -> bool:  # type: ignore[override]
@@ -270,8 +261,7 @@ class MemorySource(EdgeSource):
         coerce with their signs attached, so the source declares itself
         signed and pipelines gate estimator capability up front.
         """
-        whole = self._whole()
-        return whole is not None and whole.signs is not None
+        return self._whole().signs is not None
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -295,7 +285,7 @@ class IterableSource(EdgeSource):
     def __init__(self, edges: Iterable[Edge]) -> None:
         self._edges: Iterator[Edge] | None = iter(edges)
 
-    def batches(self, batch_size: int) -> Iterator[Sequence[Edge]]:
+    def batches(self, batch_size: int) -> Iterator[EdgeBatch]:
         # Validate before marking the source consumed: a bad batch_size
         # used to null out self._edges first, permanently exhausting the
         # source without yielding an edge -- and only raising at the
@@ -308,15 +298,7 @@ class IterableSource(EdgeSource):
                 "FileSource or MemorySource for replayable streams"
             )
         edges, self._edges = self._edges, None
-
-        def _columnar_batches() -> Iterator[Sequence[Edge]]:
-            for chunk in batched_iter(edges, batch_size):
-                try:
-                    yield EdgeBatch.from_edges(chunk)
-                except _COERCE_ERRORS:
-                    yield chunk
-
-        return _columnar_batches()
+        return (EdgeBatch.from_edges(chunk) for chunk in batched_iter(edges, batch_size))
 
     def __repr__(self) -> str:
         state = "exhausted" if self._edges is None else "fresh"

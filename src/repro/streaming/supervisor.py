@@ -88,8 +88,8 @@ __all__ = [
 ]
 
 #: First element of a control tuple on a worker's input queue. Rides
-#: the same queues as batches (so ordering is exact) and passes through
-#: :class:`TransportFeed` verbatim, like any unknown tuple.
+#: the same queues as batches (so ordering is exact); control tuples are
+#: the only items :class:`TransportFeed` passes through verbatim.
 CTL_TAG = "__repro_ctl__"
 
 #: Grace period for a worker that exited cleanly before its result
@@ -285,13 +285,12 @@ def _metered(batches, journal, result: ShardRun):
     while True:
         t0 = time.perf_counter()
         batch = next(it, None)
-        if batch is not None and journal is not None:
-            if not isinstance(batch, EdgeBatch):
-                raise InvalidParameterError(
-                    "journaling requires columnar batches; the source yielded "
-                    f"{type(batch).__name__}"
-                )
-            journal.append(batch)
+        if batch is not None:
+            # Third-party sources may yield plain edge lists; every
+            # batch past this point is an EdgeBatch.
+            batch = EdgeBatch.from_edges(batch)
+            if journal is not None:
+                journal.append(batch)
         result.io_seconds += time.perf_counter() - t0
         if batch is None:
             return

@@ -264,15 +264,6 @@ class TestColumnarTupleEquivalence:
         assert "I/O + batch prep" in report.render()
         assert report.to_dict()["io_seconds"] == report.io_seconds
 
-    def test_fallback_tuple_path_still_serves_exotic_streams(self):
-        """Self-loopy input has no columnar form; per-edge consumers
-        must still receive it verbatim through a memory source."""
-        from repro.streaming import as_source
-
-        loops = [(0, 1), (2, 2), (1, 3)]
-        batches = list(as_source(loops).batches(2))
-        assert [e for b in batches for e in b] == loops
-
     def test_estimator_specs_consume_edge_batches(self):
         batch = EdgeBatch.from_edges(EDGES[:64])
         for name, spec in ESTIMATORS.items():

@@ -164,3 +164,41 @@ class TestHandleInput:
         fresh, seen = dedup_chunk(b, seen)
         assert fresh.tolist() == [[2, 3]]
         assert seen.size == 3
+
+
+class TestMalformedLines:
+    """A line without two integer fields raises a named error, with its
+    physical line number when the input is a path."""
+
+    BAD_LINES = ["foo bar", "7"]
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    def test_file_source_names_the_line(self, tmp_path, bad):
+        from repro.errors import InvalidParameterError
+        from repro.streaming import FileSource
+
+        path = tmp_path / "g.edges"
+        path.write_text(f"0 1 extra\n# note\n{bad}\n1 2\n")
+        with pytest.raises(InvalidParameterError, match=f"line 3: cannot parse '{bad}'"):
+            list(FileSource(path, deduplicate=False).batches(16))
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    def test_handle_input_quotes_the_text(self, bad):
+        import io
+
+        from repro.errors import InvalidParameterError
+
+        handle = io.StringIO(f"0 1\n1 2 3\n{bad}\n")
+        with pytest.raises(InvalidParameterError, match=f"cannot parse '{bad}'"):
+            list(iter_edge_array_chunks(handle))
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    def test_cli_exits_one_without_traceback(self, tmp_path, bad, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "g.edges"
+        path.write_text(f"0 1\n1 2\n{bad}\n0 2\n")
+        assert main(["count", "--input", str(path), "--estimators", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3")
+        assert "Traceback" not in err

@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core.parallel import ParallelTriangleCounter
-from repro.errors import InvalidParameterError, WorkerCrashedError
+from repro.errors import (
+    InjectedFaultError,
+    InvalidParameterError,
+    VertexIdError,
+    WorkerCrashedError,
+)
 from repro.generators import holme_kim
 from repro.streaming import FaultPlan, ShardedPipeline
 from repro.streaming import shm as shm_module
@@ -286,16 +291,6 @@ class TestBatchSender:
         finally:
             sender.close()
 
-    def test_tuple_batches_ship_as_lists(self):
-        sender = BatchSender(
-            ctx(), transport="shm", consumers=1, batch_size=16, queue_depth=1
-        )
-        try:
-            assert sender.descriptor([(0, 1)]) is None
-            assert sender.raw([(0, 1)]) == [(0, 1)]
-        finally:
-            sender.close()
-
     def test_queue_mode_has_no_ring(self):
         sender = BatchSender(
             ctx(), transport="queue", consumers=2, batch_size=64, queue_depth=2
@@ -403,24 +398,52 @@ class TestTransportParity:
 class TestCrashCleanup:
     @pytest.mark.timeout(120)
     def test_worker_error_reports_traceback_and_unlinks(self):
-        poisoned = list(EDGES) + [(5, 1 << 40)]
-        counter = ParallelTriangleCounter(64, workers=2, seed=0, transport="shm")
-        with pytest.raises(InvalidParameterError, match="vertex ids") as excinfo:
-            counter.count(poisoned, batch_size=64)
+        counter = ParallelTriangleCounter(
+            64,
+            workers=2,
+            seed=0,
+            transport="shm",
+            fault_plan=FaultPlan.parse("exc:w1@b2"),
+        )
+        with pytest.raises(InjectedFaultError) as excinfo:
+            counter.count(EDGES, batch_size=64)
         notes = getattr(excinfo.value, "__notes__", [])
         assert any("worker traceback" in note for note in notes)
         assert own_segments() == []
 
     @pytest.mark.timeout(120)
     def test_sharded_worker_error_reports_traceback_and_unlinks(self):
-        poisoned = list(EDGES) + [(5, 1 << 40)]
         pipe = ShardedPipeline(
-            ["count"], workers=2, num_estimators=32, seed=0, transport="shm"
+            ["count"],
+            workers=2,
+            num_estimators=32,
+            seed=0,
+            transport="shm",
+            fault_plan=FaultPlan.parse("exc:w1@b2"),
         )
-        with pytest.raises(InvalidParameterError, match="vertex ids") as excinfo:
-            pipe.run(poisoned, batch_size=32)
+        with pytest.raises(InjectedFaultError) as excinfo:
+            pipe.run(EDGES, batch_size=32)
         notes = getattr(excinfo.value, "__notes__", [])
         assert any("worker traceback" in note for note in notes)
+        assert own_segments() == []
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("front", ["parallel", "sharded"])
+    def test_poisoned_input_fails_in_the_parent(self, front):
+        """An id past 2^31 is refused before any worker sees a batch:
+        a parent-side VertexIdError, not a shipped worker traceback."""
+        poisoned = list(EDGES) + [(5, 1 << 40)]
+        with pytest.raises(VertexIdError) as excinfo:
+            if front == "parallel":
+                ParallelTriangleCounter(
+                    64, workers=2, seed=0, transport="shm"
+                ).count(poisoned, batch_size=64)
+            else:
+                ShardedPipeline(
+                    ["count"], workers=2, num_estimators=32, seed=0, transport="shm"
+                ).run(poisoned, batch_size=32)
+        notes = getattr(excinfo.value, "__notes__", [])
+        assert not any("worker traceback" in note for note in notes)
         assert own_segments() == []
 
     @pytest.mark.timeout(120)

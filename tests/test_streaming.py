@@ -4,13 +4,14 @@ import itertools
 
 import pytest
 
-from repro.errors import InvalidParameterError, SourceExhaustedError
+from repro.errors import InvalidParameterError, SourceExhaustedError, VertexIdError
 from repro.experiments.harness import stream_through
 from repro.generators import holme_kim
 from repro.graph import EdgeStream, write_edge_list
 from repro.streaming import (
     ENGINES,
     ESTIMATORS,
+    EdgeSource,
     FileSource,
     IterableSource,
     MemorySource,
@@ -172,6 +173,54 @@ class TestDeriveSeed:
 
     def test_none_passes_through(self):
         assert derive_seed(None, "count") is None
+
+
+class _ListSource(EdgeSource):
+    """A third-party source that yields plain edge lists."""
+
+    def __init__(self, edges):
+        self.edges = list(edges)
+
+    def batches(self, batch_size):
+        return batched_iter(self.edges, batch_size)
+
+
+class TestBatchContract:
+    """Past the source boundary every batch is an EdgeBatch, so every
+    entry point applies EdgeBatch.from_edges's contract."""
+
+    def test_per_edge_pipeline_rejects_out_of_range_ids(self):
+        pipe = Pipeline.from_registry(
+            ["cliques4", "sliding-window"], num_estimators=8, seed=0
+        )
+        with pytest.raises(VertexIdError):
+            pipe.run([(0, 1), (1, 2), (3, 1 << 40)], batch_size=2)
+
+    def test_bad_in_memory_tail_fails_before_any_update(self):
+        pipe = Pipeline.from_registry(["count", "cliques4"], num_estimators=8, seed=0)
+        with pytest.raises(InvalidParameterError, match="self-loop"):
+            pipe.run([(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)], batch_size=2)
+        assert pipe.estimator("count").edges_seen == 0
+
+    def test_ragged_rows_raise_a_named_shape_error(self):
+        pipe = Pipeline.from_registry(["count"], num_estimators=8, seed=0)
+        with pytest.raises(InvalidParameterError, match=r"\(w, 2\) array"):
+            pipe.run([(0, 1), (1, 2, 3, 4), (2,)], batch_size=2)
+
+    def test_third_party_list_source_still_streams(self):
+        names = ["count", "exact"]
+        expected = Pipeline.from_registry(names, num_estimators=64, seed=1).run(
+            EDGES, batch_size=50
+        )
+        got = Pipeline.from_registry(names, num_estimators=64, seed=1).run(
+            _ListSource(EDGES), batch_size=50
+        )
+        for name in names:
+            assert got[name].results == expected[name].results
+        with pytest.raises(VertexIdError):
+            Pipeline.from_registry(["exact"]).run(
+                _ListSource([(0, 1), (2, 1 << 40)]), batch_size=1
+            )
 
 
 class TestPipeline:

@@ -96,3 +96,69 @@ class TestCounter:
         assert_mean_close(
             [s.triangle_estimate() for s in counter._samplers], 1.0, z=6.0
         )
+
+
+class TestSharedClock:
+    """A pool of r samplers holds the window's timestamps once."""
+
+    @staticmethod
+    def _traced_bytes(name, options, edges):
+        import tracemalloc
+
+        from repro.streaming import Pipeline
+
+        tracemalloc.start()
+        try:
+            pipe = Pipeline.from_registry(
+                [name], num_estimators=32, seed=1, options={name: options}
+            )
+            pipe.run(edges, batch_size=4096)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_pool_memory_matches_sliding_window(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 2000, size=(14_000, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]][:7000]
+        window = 6000
+        timed_bytes = self._traced_bytes(
+            "timed-window", {"horizon": float(window)}, edges
+        )
+        sliding_bytes = self._traced_bytes("sliding-window", {"window": window}, edges)
+        assert timed_bytes <= 3 * sliding_bytes, (timed_bytes, sliding_bytes)
+
+    def test_counter_matches_standalone_samplers(self):
+        """Sharing the clock changes no draw: each pooled sampler ends
+        in the state of a standalone sampler on the same rng."""
+        from repro.rng import spawn_sources
+
+        stream = timed(erdos_renyi(25, 120, seed=3), spacing=0.5)
+        counter = TimedWindowTriangleCounter(8, horizon=20.0, seed=4)
+        counter.update_batch(stream)
+        alone = [TimedWindowSampler(20.0, rng=src) for src in spawn_sources(4, 8)]
+        for sampler in alone:
+            for edge, t in stream:
+                sampler.update(edge, t)
+        for pooled, single in zip(counter._samplers, alone):
+            assert pooled.state_dict().keys() == single.state_dict().keys()
+            for key, value in single.state_dict().items():
+                if key == "timestamps":
+                    assert list(pooled.state_dict()[key]) == list(value)
+                else:
+                    assert pooled.state_dict()[key] == value, key
+
+    def test_restored_and_merged_pools_share_one_clock(self):
+        stream = timed(erdos_renyi(20, 60, seed=8))
+        a = TimedWindowTriangleCounter(4, horizon=15.0, seed=1)
+        b = TimedWindowTriangleCounter(4, horizon=15.0, seed=2)
+        a.update_batch(stream)
+        b.update_batch(stream)
+        restored = TimedWindowTriangleCounter(1, horizon=1.0)
+        restored.load_state_dict(a.state_dict())
+        restored.merge(b)
+        assert {id(s._clock) for s in restored._samplers} == {id(restored._clock)}
+        assert restored.window_size() == 15
+        assert restored.edges_seen == len(stream)

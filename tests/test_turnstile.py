@@ -31,12 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import dynamic_sampler
 from repro.core.dynamic_sampler import (
     DynamicGraphSampler,
     DynamicSamplerCounter,
     _keep_matrix,
 )
+from repro.core.parallel import ParallelTriangleCounter
 from repro.core.triest_fd import TriestFdCounter
 from repro.errors import InvalidParameterError
 from repro.graph import write_signed_edge_list
@@ -302,6 +304,31 @@ class TestSignedSources:
         sharded = ShardedPipeline(["count"], workers=2, num_estimators=8, seed=0)
         with pytest.raises(InvalidParameterError, match="insert-only"):
             sharded.run(FileSource(path, signed=True), batch_size=128)
+
+    def test_parallel_counter_rejects_signed_input_before_spawning(self):
+        """The counter-only front-end runs the same up-front refusal:
+        no worker is spawned, so no shipped worker traceback."""
+        events, _ = make_events(200, seed=4)
+        with pytest.raises(InvalidParameterError, match="insert-only") as excinfo:
+            ParallelTriangleCounter(64, workers=2).count(events)
+        notes = getattr(excinfo.value, "__notes__", [])
+        assert not any("worker traceback" in note for note in notes)
+
+    @pytest.mark.parametrize("command", ["count", "transitivity", "sample", "exact"])
+    def test_cli_single_estimator_commands_refuse_signed_input(
+        self, signed_file, command, capsys
+    ):
+        """Each subcommand runs through Pipeline.run, so a signed file
+        gets the pipeline's named refusal instead of counting deletions
+        as insertions."""
+        path, _, _ = signed_file
+        argv = [command, "--input", str(path), "--signed"]
+        if command != "exact":
+            argv += ["--estimators", "64"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "insert-only" in err
+        assert "Traceback" not in err
 
     def test_mixed_pipeline_names_insert_only_offenders(self, signed_file):
         path, _, _ = signed_file
