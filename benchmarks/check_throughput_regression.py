@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Eight gates. The first two compare against the repo's committed
+Nine gates. The first two compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -61,6 +61,16 @@ interleaved runs each, per-batch context builds included. The small
 batch leg guards the amortized run/base merge: an index rebuilt at
 ``Theta(m)`` per batch loses there long before it shows at 65,536.
 
+The ninth is self-relative too: the text parser every file-fed run
+starts with. A ~240k-row Holme-Kim edge list, written once as ``u v``
+and once as ``u v +-1``, streams through ``FileSource(...).batches(65_536)``
+(dedup off; signed for the second file) at least 3x faster than the
+per-line tuple parser ``iter_edge_list`` reads the same rows, min of 3
+interleaved runs each, timed in process CPU time so a busy shared
+runner does not count against either leg. Both layouts read 4-6x on a
+2-core box; a layout that drops off the ``loadtxt`` fast path onto the
+per-line pass reads about 1x, and the old signed parser read 0.6x.
+
     PYTHONPATH=src python benchmarks/check_throughput_regression.py
 """
 
@@ -83,6 +93,8 @@ WORKER_SHAPE_RATIO_FLOOR = 1.0
 PIPELINE_RUN_RATIO_FLOOR = 0.75
 #: The exact-baseline gate: reference time over columnar time, per batch size.
 EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
+#: The parse gate: per-line reference time over FileSource time, per layout.
+PARSE_SPEEDUP_FLOOR = 3.0
 
 
 def _gate(label: str, measured: float, baseline: float) -> bool:
@@ -336,6 +348,65 @@ def _exact_baseline_gate() -> bool:
     return ok
 
 
+def _parse_gate() -> bool:
+    import tempfile
+
+    from repro.generators import holme_kim
+    from repro.graph.io import iter_edge_list, write_edge_list, write_signed_edge_list
+    from repro.streaming import FileSource
+
+    edges = holme_kim(60_000, 4, 0.3, seed=4)
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, signed = Path(tmp) / "plain.edges", Path(tmp) / "signed.edges"
+        write_edge_list(plain, edges)
+        write_signed_edge_list(
+            signed, ((u, v, -1 if i % 5 == 4 else 1) for i, (u, v) in enumerate(edges))
+        )
+        for label, path, is_signed in (("u v", plain, False), ("u v +-1", signed, True)):
+
+            def file_source() -> tuple[float, int]:
+                source = FileSource(path, deduplicate=False, signed=is_signed)
+                t0 = time.process_time()
+                rows = sum(len(batch) for batch in source.batches(65_536))
+                return time.process_time() - t0, rows
+
+            def reference() -> tuple[float, int]:
+                t0 = time.process_time()
+                rows = sum(1 for _ in iter_edge_list(path))
+                return time.process_time() - t0, rows
+
+            best = {"file_source": float("inf"), "reference": float("inf")}
+            rows = set()
+            for _ in range(3):
+                for name, run in (("file_source", file_source), ("reference", reference)):
+                    seconds, count = run()
+                    best[name] = min(best[name], seconds)
+                    rows.add(count)
+            ratio = best["reference"] / max(best["file_source"], 1e-9)
+            print(
+                f"[throughput-gate] parse '{label}' ({len(edges)} rows): "
+                f"FileSource {best['file_source']:.3f}s, iter_edge_list "
+                f"{best['reference']:.3f}s ({ratio:.2f}x, floor "
+                f"{PARSE_SPEEDUP_FLOOR:.1f}x)"
+            )
+            if len(rows) != 1:
+                print(
+                    f"[throughput-gate] FAIL (parse '{label}'): FileSource and "
+                    f"iter_edge_list disagree on the row count: {sorted(rows)}",
+                    file=sys.stderr,
+                )
+                ok = False
+            elif ratio < PARSE_SPEEDUP_FLOOR:
+                print(
+                    f"[throughput-gate] FAIL (parse '{label}'): the columnar "
+                    "parser fell below its floor against the per-line parser",
+                    file=sys.stderr,
+                )
+                ok = False
+    return ok
+
+
 def main() -> int:
     committed = json.loads(ARTIFACT.read_text())
     r = min(committed["r_values"])
@@ -362,6 +433,7 @@ def main() -> int:
     ok = _journal_overhead_gate(committed) and ok
     ok = _worker_shape_gate() and ok
     ok = _exact_baseline_gate() and ok
+    ok = _parse_gate() and ok
 
     if not ok:
         return 1

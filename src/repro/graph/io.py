@@ -2,34 +2,46 @@
 
 The paper streams SNAP edge-list files from disk and reports I/O time
 separately (Table 3). These helpers read and write the same whitespace-
-separated ``u v`` format (``#``-prefixed comment lines are skipped, as
-in SNAP files) so the experiment harness can reproduce the disk-backed
+separated ``u v`` format (``#`` comments and blank lines are skipped,
+as in SNAP files), plus its signed ``u v +1`` / ``+ u v`` turnstile
+variants, so the experiment harness can reproduce the disk-backed
 streaming setup.
 
-Two parsers are provided. :func:`iter_edge_list` is the per-line tuple
-parser (lazy, one edge at a time). :func:`iter_edge_array_chunks` is
-the columnar parser behind :class:`repro.streaming.FileSource` and
-:func:`read_edge_list`: it pulls ~1 MiB worth of rows at a time through
-:func:`numpy.loadtxt` (C-backed since numpy 1.23, with native comment
-and blank-line handling -- the supported successor to the deprecated
-``np.fromstring`` text mode this module used to build on) and filters
-self-loops / canonicalizes with vectorized operations -- the same edges
-in the same order, several times faster than the line loop
-(``benchmarks/bench_io_parse.py`` measures both and checks the loadtxt
-path did not regress the old fast path). Its companion
+:func:`iter_edge_list` is the per-line tuple parser (lazy, one edge at
+a time), kept as the reference the columnar parser is tested against.
+Every other text reader -- :func:`iter_edge_array_chunks`,
+:func:`iter_signed_edge_array_chunks`, :func:`read_edge_list`, and the
+streaming sources ``FileSource``, ``LineSource`` and ``FollowSource``
+-- runs one block parser in three steps:
+
+1. a block reader (:func:`text_blocks`) cuts the text into whole-line
+   blocks, ~1 MiB each (or a fixed number of lines, so a live pipe is
+   never asked for more than it has), each tagged with its first line
+   number;
+2. a fast path parses each block with one :func:`numpy.loadtxt` call
+   (C tokenizer, native ``#`` comment and blank-line handling) and
+   validates and canonicalizes it with array operations;
+3. when ``loadtxt`` fails, or a column count, sign, or vertex id breaks
+   the contract, a per-line pass re-parses that same in-memory block
+   and raises a named error prefixed with ``line N:`` -- or, in scrub
+   mode (live follow mode), drops the unparseable lines and reports
+   how many.
+
 :func:`dedup_edge_arrays` deduplicates chunk streams with packed
 ``(u << 32) | v`` int64 keys instead of a Python set of tuples.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, VertexIdError
 from .edge import Edge, canonical_edge
 
 __all__ = [
@@ -40,12 +52,27 @@ __all__ = [
     "dedup_edges",
     "iter_edge_array_chunks",
     "iter_signed_edge_array_chunks",
+    "text_blocks",
+    "parse_blocks",
     "dedup_chunk",
     "dedup_edge_arrays",
 ]
 
-_CHUNK_CHARS = 1 << 20  # target text volume per parsed chunk
-_ROW_CHARS = 12  # ~"12345 67890\n": sizes loadtxt chunks from chunk_chars
+_CHUNK_CHARS = 1 << 20  # target text volume per parsed block
+_VERTEX_LIMIT = 1 << 31  # the engines' packed-key id domain
+
+#: Text layouts. ``edges`` is the unsigned format; the three signed
+#: layouts are locked by the first data line of a signed stream.
+_EDGES = "edges"  # "u v [...]" -> first two columns, extra columns ignored
+_BARE = "bare"  # "u v"      -> every row is an insert
+_COLUMN = "column"  # "u v +1" -> third column is the sign
+_PREFIX = "prefix"  # "+ u v"  -> leading +/- token is the sign
+_SIGNED_SHAPES = {
+    _BARE: "2 columns ('u v')",
+    _COLUMN: "3 columns ('u v +1')",
+    _PREFIX: "3 columns ('+ u v')",
+}
+_SIGN_TOKENS = {"+": 1, "-": -1}
 
 
 def dedup_edges(edges: Iterable[Edge]) -> Iterator[Edge]:
@@ -81,20 +108,240 @@ def iter_edge_list(path: str | os.PathLike) -> Iterator[Edge]:
             yield canonical_edge(u, v)
 
 
-def _canonical_rows(arr: np.ndarray) -> np.ndarray:
-    """Vectorized self-loop filter + canonicalization + id validation."""
+def _canonical_rows(arr: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized canonicalization + id validation + self-loop filter.
+
+    Returns int64 ``(n, 2)`` rows with ``u < v``; given a ``signs``
+    column, ``(n, 3)`` rows with the sign riding along untouched by the
+    swap. Ids are checked on the min/max columns (one compare per row).
+    """
     # Deferred: repro.streaming imports this module at package import.
     from ..streaming.batch import check_vertex_ids
 
-    check_vertex_ids(arr)
-    u, v = arr[:, 0], arr[:, 1]
-    keep = u != v
-    if not keep.all():
-        u, v = u[keep], v[keep]
-    out = np.empty((u.shape[0], 2), dtype=np.int64)
-    np.minimum(u, v, out=out[:, 0])
-    np.maximum(u, v, out=out[:, 1])
-    return out
+    out = np.empty((arr.shape[0], 2 if signs is None else 3), dtype=np.int64)
+    np.minimum(arr[:, 0], arr[:, 1], out=out[:, 0])
+    np.maximum(arr[:, 0], arr[:, 1], out=out[:, 1])
+    if out.shape[0] and (out[:, 0].min() < 0 or out[:, 1].max() >= _VERTEX_LIMIT):
+        check_vertex_ids(arr)  # raises, naming the first bad id
+    if signs is not None:
+        out[:, 2] = signs
+    keep = out[:, 0] != out[:, 1]
+    return out if keep.all() else out[keep]
+
+
+def text_blocks(
+    handle, *, chunk_chars: int = _CHUNK_CHARS, lines: int | None = None
+) -> Iterator[tuple[str, int]]:
+    """Cut an open text handle into ``(block, first line number)`` pairs.
+
+    Every block holds whole lines: ``chunk_chars`` characters read in
+    one call, completed to the next newline. With ``lines``, a block is
+    instead the next ``lines`` lines, drawn by iterating the handle --
+    a live pipe answers that as soon as the lines exist, where
+    ``read(n)`` would block until ``n`` characters arrive. Line numbers
+    count from where the handle stood when reading began.
+    """
+    first = 1
+    while True:
+        if lines is None:
+            block = handle.read(chunk_chars)
+            if block and not block.endswith("\n"):
+                block += handle.readline()
+        else:
+            block = "".join(itertools.islice(handle, lines))
+        if not block:
+            return
+        yield block, first
+        # str.count walks the text one character at a time; one vector
+        # compare over the UTF-8 bytes counts newlines ~6x faster.
+        first += int(np.count_nonzero(np.frombuffer(block.encode(), np.uint8) == 10))
+
+
+def parse_blocks(
+    blocks: Iterable[tuple[str, int] | None],
+    *,
+    signed: bool = False,
+    scrub: Callable[[int], None] | None = None,
+) -> Iterator[np.ndarray | None]:
+    """Parse text blocks into canonical int64 chunks.
+
+    ``blocks`` yields ``(text, first line number)`` pairs, as
+    :func:`text_blocks` does. Unsigned chunks are ``(n, 2)`` rows;
+    signed ones are ``(n, 3)`` ``(u, v, sign)`` rows in the layout the
+    first data line of the stream set. A ``None`` item (a follow-mode
+    flush marker) passes through unchanged.
+
+    Strict by default: a bad line raises
+    :class:`~repro.errors.InvalidParameterError` (or
+    :class:`~repro.errors.VertexIdError` for an id outside
+    ``[0, 2^31)``) naming its line. With ``scrub``, unparseable lines
+    are dropped instead and ``scrub`` is called with their count per
+    block; out-of-range ids still raise, since a well-formed line that
+    breaks the id contract is not corruption.
+    """
+    layout = None if signed else _EDGES
+    for item in blocks:
+        if item is None:
+            yield None
+            continue
+        block, first = item
+        if layout is None:
+            layout = _probe_layout(block, first, scrub)
+            if layout is None:
+                continue  # no data line yet: keep probing the next block
+        try:
+            arr = _loadtxt_rows(block, layout)
+        except (ValueError, VertexIdError):
+            arr = _per_line_rows(block, first, layout, scrub)
+        if arr.shape[0]:
+            yield arr
+
+
+def _loadtxt_rows(block: str, layout: str) -> np.ndarray:
+    """The fast path: one ``loadtxt`` call over a whole block.
+
+    Raises ``ValueError`` (or ``VertexIdError``) whenever the block
+    breaks the layout, so the caller re-parses it line by line to name
+    the offending line. Tokens parse as int32, which is both faster
+    than int64 and exactly wide enough: an id at or past ``2^31`` fails
+    here and is named by the per-line pass.
+    """
+    if layout == _PREFIX:
+        raise ValueError("a '+'/'-' prefix token never parses as an integer")
+    with warnings.catch_warnings():
+        # loadtxt warns when a block holds only comments/blank lines.
+        warnings.simplefilter("ignore", UserWarning)
+        arr = np.loadtxt(
+            io.StringIO(block),
+            dtype=np.int32,
+            comments="#",
+            ndmin=2,
+            usecols=(0, 1) if layout == _EDGES else None,
+        )
+    if arr.shape[1] != (3 if layout == _COLUMN else 2):
+        raise ValueError("column count breaks the layout")
+    if layout == _EDGES:
+        return _canonical_rows(arr)
+    if layout == _BARE:
+        return _canonical_rows(arr, np.ones(arr.shape[0], dtype=np.int64))
+    if (np.abs(arr[:, 2]) != 1).any():
+        raise ValueError("a sign is not +1 or -1")
+    return _canonical_rows(arr[:, :2], arr[:, 2])
+
+
+def _data_lines(block: str, first: int) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each data line, comments cut as loadtxt does.
+
+    Lazy, so probing a block for its first data line costs one line,
+    not a split of the whole block.
+    """
+    start, lineno = 0, first
+    while start < len(block):
+        end = block.find("\n", start)
+        if end < 0:
+            end = len(block)
+        text = block[start:end].split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+        start, lineno = end + 1, lineno + 1
+
+
+def _per_line_rows(
+    block: str, first: int, layout: str, scrub: Callable[[int], None] | None
+) -> np.ndarray:
+    """The per-line pass: re-parse a block, naming (or dropping) bad lines."""
+    rows = []
+    dropped = 0
+    for lineno, text in _data_lines(block, first):
+        try:
+            rows.append(_parse_row(text, layout))
+        except InvalidParameterError as exc:
+            if scrub is None or isinstance(exc, VertexIdError):
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            dropped += 1
+    if dropped:
+        scrub(dropped)
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 2 if layout == _EDGES else 3)
+    return _canonical_rows(arr[:, :2], None if layout == _EDGES else arr[:, 2])
+
+
+def _token(text: str) -> int:
+    """One decimal integer token, no looser than ``loadtxt`` reads it."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+def _parse_row(text: str, layout: str) -> tuple[int, ...]:
+    """One data line as ``(u, v)``, or ``(u, v, sign)`` for a signed layout.
+
+    Raises the named error without a line number; the caller adds it.
+    Ids are checked as Python ints, so a value beyond int64 is named
+    like any other out-of-range id.
+    """
+    parts = text.split()
+    if layout != _EDGES and len(parts) != (2 if layout == _BARE else 3):
+        raise InvalidParameterError(
+            f"expected {_SIGNED_SHAPES[layout]} like the first data line, got "
+            f"{len(parts)} column(s); mixed signed/unsigned rows are not allowed"
+        )
+    at = 1 if layout == _PREFIX else 0
+    try:
+        u, v = _token(parts[at]), _token(parts[at + 1])
+    except (IndexError, ValueError):
+        what = "an edge" if layout == _EDGES else "a signed edge"
+        raise InvalidParameterError(f"cannot parse {text!r} as {what}") from None
+    for x in (u, v):
+        if not 0 <= x < _VERTEX_LIMIT:
+            raise VertexIdError(f"vertex ids must be integers in [0, 2^31); got {x}")
+    if layout == _EDGES:
+        return u, v
+    if layout == _BARE:
+        return u, v, 1
+    sign = parts[2] if layout == _COLUMN else parts[0]
+    try:
+        value = _SIGN_TOKENS.get(sign) or _token(sign)
+    except ValueError:
+        value = 0
+    if value not in (1, -1):
+        raise InvalidParameterError("signs must be +1 or -1")
+    return u, v, value
+
+
+def _probe_layout(
+    block: str, first: int, scrub: Callable[[int], None] | None
+) -> str | None:
+    """The signed layout of the first data line; ``None`` if there is none.
+
+    In scrub mode, lines that do not parse under the layout they look
+    like are skipped (and, if no line in the block qualifies, reported
+    as dropped), so one corrupt line cannot lock the wrong layout.
+    """
+    skipped = 0
+    for lineno, text in _data_lines(block, first):
+        parts = text.split()
+        layout = _PREFIX if parts[0] in _SIGN_TOKENS else (
+            {2: _BARE, 3: _COLUMN}.get(len(parts))
+        )
+        if scrub is None:
+            if layout is None:
+                raise InvalidParameterError(
+                    f"line {lineno}: cannot infer a signed edge layout from "
+                    f"{text!r}: expected 'u v', 'u v +1', or '+ u v'"
+                )
+            return layout
+        if layout is not None:
+            try:
+                _parse_row(text, layout)
+                return layout
+            except VertexIdError:
+                return layout  # well-formed: the parse pass names it
+            except InvalidParameterError:
+                pass
+        skipped += 1
+    if skipped:
+        scrub(skipped)
+    return None
 
 
 def iter_edge_array_chunks(
@@ -104,239 +351,19 @@ def iter_edge_array_chunks(
 
     The columnar counterpart of :func:`iter_edge_list`: same skipping of
     comments, blank lines, and self-loops, same canonical ``u < v``
-    rows, same order -- but parsed ~1 MiB worth of rows at a time with
-    :func:`numpy.loadtxt` pulling straight from the file handle (its
-    C tokenizer handles comments and blank lines natively). Memory is
-    bounded by one chunk regardless of file size. Vertex ids must lie
-    in ``[0, 2^31)`` (the engines' packed-key domain).
+    rows, same order -- but parsed ~1 MiB of whole lines at a time by
+    the block parser (see the module docstring). Memory is bounded by
+    one block regardless of file size. Rows with extra or ragged columns
+    (weights, timestamps) take their first two fields. Vertex ids must
+    lie in ``[0, 2^31)`` (the engines' packed-key domain); a line
+    without two integer fields, or with an id out of range, raises a
+    named error starting ``line N:``.
 
     ``source`` is a path or an already-open *text* file object (a
-    ``StringIO``, a socket's ``makefile()``, ``sys.stdin``): the
-    streaming sources (:class:`repro.streaming.LineSource`,
-    :class:`repro.streaming.FollowSource`) feed handles they own, and
-    the handle is left open for the caller to manage.
-
-    Rows with extra columns (weights, timestamps) take their first two
-    fields, as the per-line parser does; files whose rows are *ragged*
-    make ``loadtxt`` balk, so the parser falls back to a careful
-    per-line pass that resumes exactly after the rows already emitted
-    (replaying from the path, or by seeking the handle back; a
-    non-seekable handle with ragged rows is an error because its
-    already-consumed text cannot be re-read).
+    ``StringIO``, a socket's ``makefile()``, ``sys.stdin``), read from
+    its current position and left open for the caller to manage.
     """
-    if hasattr(source, "read"):
-        yield from _chunks_from_handle(source, chunk_chars, path=None)
-        return
-    with open(source, "r", encoding="utf-8") as handle:
-        yield from _chunks_from_handle(handle, chunk_chars, path=source)
-
-
-def _chunks_from_handle(
-    handle, chunk_chars: int, path: str | os.PathLike | None
-) -> Iterator[np.ndarray]:
-    """The loadtxt chunk loop over an open text handle (see above)."""
-    max_rows = max(1, chunk_chars // _ROW_CHARS)
-    consumed = 0  # data rows yielded so far, pre self-loop filter
-    try:
-        start = handle.tell() if handle.seekable() else None
-    except (OSError, AttributeError):
-        start = None
-    while True:
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns on empty input (our EOF probe) and
-                # on comment lines not counting toward max_rows.
-                warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(
-                    handle,
-                    dtype=np.int64,
-                    comments="#",
-                    ndmin=2,
-                    max_rows=max_rows,
-                )
-        except ValueError:
-            # Ragged rows (varying column counts): re-parse the
-            # remainder line by line, skipping what was emitted.
-            if path is not None:
-                with open(path, "r", encoding="utf-8") as reread:
-                    yield from _ragged_row_chunks(
-                        reread, consumed, max_rows, numbered=True
-                    )
-                return
-            if start is not None:
-                handle.seek(start)
-                yield from _ragged_row_chunks(handle, consumed, max_rows)
-                return
-            raise InvalidParameterError(
-                "edge rows have inconsistent column counts and the input "
-                "handle is not seekable, so the consumed text cannot be "
-                "re-parsed; feed complete uniform rows or a seekable handle"
-            ) from None
-        if arr.size == 0:
-            return
-        if arr.shape[1] < 2:
-            raise InvalidParameterError(
-                f"edge-list rows need at least two fields, got {arr.shape[1]}"
-            )
-        consumed += arr.shape[0]
-        out = _canonical_rows(arr[:, :2])
-        if out.shape[0]:
-            yield out
-
-
-def _ragged_row_chunks(
-    lines: Iterable[str], skip_rows: int, max_rows: int, *, numbered: bool = False
-) -> Iterator[np.ndarray]:
-    """Careful per-line parse for ragged inputs: first two fields per row.
-
-    ``skip_rows`` data rows (comment/blank lines excluded -- the same
-    rows :func:`numpy.loadtxt` counts) were already emitted by the fast
-    path and are skipped so the combined stream has every edge once.
-    ``lines`` is any iterable of text lines (an open handle positioned
-    at the start of the stream's text). A line without two integer
-    fields raises :class:`~repro.errors.InvalidParameterError` quoting
-    it, prefixed with its physical line number when ``numbered`` (the
-    lines start at the top of a file).
-    """
-    rows: list[tuple[int, int]] = []
-    data_rows = 0
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data_rows += 1
-        if data_rows <= skip_rows:
-            continue
-        parts = stripped.split()
-        try:
-            rows.append((int(parts[0]), int(parts[1])))
-        except (IndexError, ValueError):
-            where = f"line {lineno}: " if numbered else ""
-            raise InvalidParameterError(
-                f"{where}cannot parse {stripped!r} as an edge"
-            ) from None
-        if len(rows) >= max_rows:
-            arr = _canonical_rows(np.array(rows, dtype=np.int64).reshape(-1, 2))
-            rows = []
-            if arr.shape[0]:
-                yield arr
-    if rows:
-        arr = _canonical_rows(np.array(rows, dtype=np.int64).reshape(-1, 2))
-        if arr.shape[0]:
-            yield arr
-
-
-def _canonical_signed_rows(arr: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """:func:`_canonical_rows` for signed rows; returns ``(n, 3)``.
-
-    Same id validation and self-loop skip, same canonical ``u < v``
-    columns; the sign column rides along untouched by the min/max swap.
-    """
-    from ..streaming.batch import check_vertex_ids
-
-    check_vertex_ids(arr)
-    u, v = arr[:, 0], arr[:, 1]
-    keep = u != v
-    if not keep.all():
-        u, v, signs = u[keep], v[keep], signs[keep]
-    out = np.empty((u.shape[0], 3), dtype=np.int64)
-    np.minimum(u, v, out=out[:, 0])
-    np.maximum(u, v, out=out[:, 1])
-    out[:, 2] = signs
-    return out
-
-
-#: The three signed-line layouts, keyed by how the probe line reads.
-_FMT_BARE = "bare"  # "u v"          -> every row is an insert
-_FMT_COLUMN = "column"  # "u v +1"   -> third column is the sign
-_FMT_PREFIX = "prefix"  # "+ u v"    -> leading +/- token is the sign
-
-
-def _parse_sign_tokens(col: np.ndarray, lineno: int | None = None) -> np.ndarray:
-    """Sign tokens (``+1``/``-1``/``1``, or literal ``+``/``-``) to int64."""
-    try:
-        signs = col.astype(np.int64)
-    except ValueError:
-        signs = np.where(col == "+", np.int64(1), np.int64(0))
-        signs[col == "-"] = -1
-    if not np.isin(signs, (-1, 1)).all():
-        where = f"line {lineno}: " if lineno is not None else ""
-        raise InvalidParameterError(f"{where}signs must be +1 or -1")
-    return signs
-
-
-def _signed_block_rows(block: str, fmt: str, lineno_base: int) -> np.ndarray:
-    """Parse one text block of uniform signed rows into ``(n, 3)`` int64.
-
-    The columnar fast path: when the block has no comments and every
-    line carries exactly the probe's column count (cross-checked by
-    ``token count == columns x line count``, so a blank, short, or long
-    line can never slip through), one ``str.split`` plus one vectorized
-    ``astype`` parses the whole block. Anything else drops to a
-    per-line pass that skips comments/blanks and raises
-    :class:`~repro.errors.InvalidParameterError` naming the first line
-    whose column count disagrees with the probe -- mixed 2/3-column
-    files are ambiguous about signs, so they are an error, never a
-    silent fallback.
-    """
-    ncols = 2 if fmt == _FMT_BARE else 3
-    tokens = block.split()
-    nlines = block.count("\n")
-    if "#" not in block and len(tokens) == ncols * nlines:
-        sarr = np.array(tokens, dtype=str).reshape(-1, ncols)
-        try:
-            if fmt == _FMT_BARE:
-                uv = sarr.astype(np.int64)
-                signs = np.ones(uv.shape[0], dtype=np.int64)
-            elif fmt == _FMT_COLUMN:
-                uv = sarr[:, :2].astype(np.int64)
-                signs = _parse_sign_tokens(sarr[:, 2])
-            else:
-                uv = sarr[:, 1:].astype(np.int64)
-                signs = _parse_sign_tokens(sarr[:, 0])
-            return _canonical_signed_rows(uv, signs)
-        except ValueError:
-            pass  # non-numeric token: the per-line pass names the line
-        except InvalidParameterError as exc:
-            if "signs must be" not in str(exc):
-                raise  # id-range/self-loop errors carry no line ambiguity
-            # a bad sign token: re-parse per line to name the offender
-    rows: list[tuple[int, int, int]] = []
-    expect = "2 columns ('u v')" if ncols == 2 else (
-        "3 columns ('u v +1')" if fmt == _FMT_COLUMN else "3 columns ('+ u v')"
-    )
-    for offset, line in enumerate(block.splitlines()):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lineno = lineno_base + offset
-        parts = stripped.split()
-        if len(parts) != ncols:
-            raise InvalidParameterError(
-                f"line {lineno}: expected {expect} like the first data "
-                f"line, got {len(parts)} column(s); mixed signed/unsigned "
-                "rows are not allowed"
-            )
-        col = np.array(parts, dtype=str)
-        try:
-            if fmt == _FMT_BARE:
-                u, v = int(parts[0]), int(parts[1])
-                sign = 1
-            elif fmt == _FMT_COLUMN:
-                u, v = int(parts[0]), int(parts[1])
-                sign = int(_parse_sign_tokens(col[2:], lineno)[0])
-            else:
-                sign = int(_parse_sign_tokens(col[:1], lineno)[0])
-                u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise InvalidParameterError(
-                f"line {lineno}: cannot parse {stripped!r} as a signed edge"
-            ) from None
-        rows.append((u, v, sign))
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    arr = np.array(rows, dtype=np.int64)
-    return _canonical_signed_rows(arr[:, :2], arr[:, 2])
+    return _parse_text(source, chunk_chars, signed=False)
 
 
 def iter_signed_edge_array_chunks(
@@ -346,7 +373,7 @@ def iter_signed_edge_array_chunks(
 
     The turnstile counterpart of :func:`iter_edge_array_chunks`. Three
     line layouts are supported, detected once from the first data line
-    (the probe) and then required of the whole file:
+    and then required of the whole stream:
 
     - ``u v`` -- a plain edge list; every row becomes an insert (+1);
     - ``u v s`` -- a third sign column, ``s`` one of ``+1``/``1``/``-1``
@@ -356,68 +383,21 @@ def iter_signed_edge_array_chunks(
     Rows come back as ``(u, v, sign)`` with the same canonicalization
     as the unsigned parser (ids validated into ``[0, 2^31)``,
     self-loops skipped, ``u < v``); signs survive the swap unchanged.
-    Comments and blank lines are skipped. A file that mixes column
-    counts raises :class:`~repro.errors.InvalidParameterError` naming
-    the offending line -- a 2-column row in a 3-column file (or vice
-    versa) is ambiguous about deletions, never a silent fallback.
-
-    ``source`` is a path or an open text handle, exactly as for the
-    unsigned parser; memory is bounded by one ``chunk_chars`` block.
+    A line whose column count differs from the first data line's raises
+    :class:`~repro.errors.InvalidParameterError` naming it -- a 2-column
+    row in a 3-column file (or vice versa) is ambiguous about deletions,
+    never a silent fallback.
     """
+    return _parse_text(source, chunk_chars, signed=True)
+
+
+def _parse_text(source, chunk_chars: int, *, signed: bool) -> Iterator[np.ndarray]:
+    """Run the block parser over a handle, opening ``source`` if it is a path."""
     if hasattr(source, "read"):
-        yield from _signed_chunks_from_handle(source, chunk_chars)
+        yield from parse_blocks(text_blocks(source, chunk_chars=chunk_chars), signed=signed)
         return
     with open(source, "r", encoding="utf-8") as handle:
-        yield from _signed_chunks_from_handle(handle, chunk_chars)
-
-
-def _probe_signed_format(block: str) -> str | None:
-    """Classify the first data line of ``block``; ``None`` if it has none."""
-    for line in block.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if parts[0] in ("+", "-"):
-            return _FMT_PREFIX
-        if len(parts) == 2:
-            return _FMT_BARE
-        if len(parts) == 3:
-            return _FMT_COLUMN
-        raise InvalidParameterError(
-            f"cannot infer a signed edge layout from {stripped!r}: "
-            "expected 'u v', 'u v +1', or '+ u v'"
-        )
-    return None  # only comments/blanks: keep probing the next block
-
-
-def _signed_chunks_from_handle(handle, chunk_chars: int) -> Iterator[np.ndarray]:
-    """The block loop behind :func:`iter_signed_edge_array_chunks`."""
-    fmt: str | None = None
-    lineno_base = 1
-    while True:
-        block = handle.read(chunk_chars)
-        if not block:
-            return
-        # Complete the trailing partial line so every block holds
-        # whole lines and the line accounting stays exact.
-        if not block.endswith("\n"):
-            rest = handle.readline()
-            if rest:
-                block += rest
-            if not block.endswith("\n"):
-                block += "\n"
-        if fmt is None:
-            # The probe chunk: the first data line locks the layout for
-            # the rest of the file (all-comment blocks keep probing).
-            fmt = _probe_signed_format(block)
-            if fmt is None:
-                lineno_base += block.count("\n")
-                continue
-        out = _signed_block_rows(block, fmt, lineno_base)
-        lineno_base += block.count("\n")
-        if out.shape[0]:
-            yield out
+        yield from _parse_text(handle, chunk_chars, signed=signed)
 
 
 def dedup_chunk(
@@ -427,10 +407,8 @@ def dedup_chunk(
 
     The stateless core of :func:`dedup_edge_arrays`: ``seen`` is the
     sorted array of packed ``(u << 32) | v`` int64 keys observed so
-    far; the return value is ``(fresh_rows, updated_seen)``. Callers
-    that dedup across *separate* parses of a growing stream (the
-    follow-mode source polls the file repeatedly) thread the key array
-    through themselves.
+    far; the return value is ``(fresh_rows, updated_seen)``, so a
+    caller can thread the key array through separate parses itself.
     """
     if not arr.shape[0]:
         return arr, seen
@@ -460,10 +438,14 @@ def dedup_edge_arrays(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     ``(u << 32) | v`` int64 keys (O(distinct edges) memory, no Python
     tuples): each chunk is reduced to its first occurrences with
     ``np.unique``, filtered against the seen keys by binary search, and
-    the survivors are emitted in stream order.
+    the survivors are emitted in stream order. A ``None`` item (a
+    follow-mode flush marker) passes through.
     """
     seen = np.empty(0, dtype=np.int64)
     for arr in chunks:
+        if arr is None:
+            yield None
+            continue
         fresh, seen = dedup_chunk(arr, seen)
         if fresh.shape[0]:
             yield fresh

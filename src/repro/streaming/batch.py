@@ -27,6 +27,7 @@ valid for every consumer regardless of its ``edges_seen``.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -276,7 +277,7 @@ class EdgeBatch(Sequence):
 
 
 def rebatch_arrays(
-    arrays: Iterator[np.ndarray] | Sequence[np.ndarray], batch_size: int
+    arrays: Iterator[np.ndarray | None] | Sequence[np.ndarray], batch_size: int
 ) -> Iterator[np.ndarray]:
     """Regroup a stream of irregular ``(n, 2)`` arrays into exact batches.
 
@@ -285,12 +286,19 @@ def rebatch_arrays(
     (``ceil(m / batch_size)`` batches, all but the last exactly
     ``batch_size``) so a file-fed run consumes its RNG identically to a
     memory-fed one. Only ``O(batch + chunk)`` edges are held at a time.
+    A ``None`` item flushes the buffered remainder as a short batch
+    (how follow mode hands over what it has when its file idles).
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     buffer: list[np.ndarray] = []
     buffered = 0
-    for arr in arrays:
+    for arr in itertools.chain(arrays, [None]):
+        if arr is None:
+            if buffered:
+                yield np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
+            buffer, buffered = [], 0
+            continue
         if not arr.shape[0]:
             continue
         buffer.append(arr)
@@ -305,8 +313,6 @@ def rebatch_arrays(
         rest = merged[start:]
         buffer = [rest] if rest.shape[0] else []
         buffered = rest.shape[0]
-    if buffered:
-        yield np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
 
 
 #: Above this many queries, sort them first: binary search with sorted

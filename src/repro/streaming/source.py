@@ -9,7 +9,7 @@ in a fan-out shares (one conversion and one per-batch index per batch,
 no matter how many consumers).
 
 - :class:`FileSource` -- reads a SNAP-style edge-list file with the
-  chunked columnar parser (:func:`repro.graph.io.iter_edge_array_chunks`),
+  columnar block parser (:func:`repro.graph.io.iter_edge_array_chunks`),
   with vectorized streaming dedup by default (pass ``deduplicate=False``
   for constant memory on already-simple inputs); replayable because
   every pass re-opens the file;
@@ -20,13 +20,19 @@ no matter how many consumers).
   iterable, coercing each batch to columnar form as it is drawn; a
   second pass raises :class:`~repro.errors.SourceExhaustedError`;
 - :class:`LineSource` -- wraps an already-open *text* stream (a file
-  object, ``sys.stdin``, a socket's ``makefile()``), running the same
-  columnar chunk parser as :class:`FileSource` over lines the caller's
-  handle produces; one-shot, bounded memory on unbounded streams;
+  object, ``sys.stdin``, a socket's ``makefile()``), parsing the lines
+  the caller's handle produces; one-shot, bounded memory on unbounded
+  streams;
 - :class:`FollowSource` -- ``tail -f`` semantics over a *growing*
   edge-list file: reads from the top, then polls for appended data,
   flushing partial batches when the file idles so live consumers see
   progress; an optional stop condition / idle timeout ends the stream.
+
+The three text sources share one parser (:func:`repro.graph.io.parse_blocks`:
+whole-line blocks, one ``loadtxt`` fast path, one per-line pass), so
+they accept the same ``u v`` / signed layouts and name a bad line the
+same way -- ``line N: ...``, counted from where the parse began -- and
+every text batch comes out of the same dedup / rebatch steps.
 
 :func:`as_source` coerces whatever a caller holds (path, stream, array,
 sequence, generator, ``EdgeBatch``, open file object, or an existing
@@ -62,16 +68,14 @@ from ..errors import (
     SourceExhaustedError,
     SourceRetryWarning,
     SourceRotatedWarning,
-    VertexIdError,
 )
 from ..graph.edge import Edge
 from ..graph.io import (
-    _probe_signed_format,
-    _signed_block_rows,
-    dedup_chunk,
     dedup_edge_arrays,
     iter_edge_array_chunks,
     iter_signed_edge_array_chunks,
+    parse_blocks,
+    text_blocks,
 )
 from ..graph.stream import EdgeStream
 from . import faults as _faults
@@ -87,11 +91,6 @@ __all__ = [
     "as_source",
     "batched_iter",
 ]
-
-#: Exceptions that mean "this text does not parse as edges" -- the set a
-#: :class:`FollowSource` scrubs unparseable lines on, rather than
-#: ending a live stream over one bad line.
-_COERCE_ERRORS = (InvalidParameterError, ValueError, TypeError, OverflowError)
 
 #: Bytes a follow-mode poll reads per ``read`` call (~1 MiB, the chunk
 #: parser's natural unit; a burst larger than this just loops).
@@ -148,15 +147,35 @@ class EdgeSource(ABC):
             yield from batch
 
 
+def _resolve_dedup(deduplicate: bool | None, signed: bool) -> bool:
+    """The text sources' dedup setting: ``None`` means on unless signed."""
+    if deduplicate is None:
+        return not signed
+    if deduplicate and signed:
+        raise InvalidParameterError(
+            "deduplicate=True cannot be combined with signed=True: "
+            "dedup would drop re-inserts and deletions of the same edge"
+        )
+    return deduplicate
+
+
+def _text_batches(chunks, batch_size: int, deduplicate: bool) -> Iterator[EdgeBatch]:
+    """Parsed text chunks -> (dedup) -> exact ``batch_size`` EdgeBatches."""
+    if deduplicate:
+        chunks = dedup_edge_arrays(chunks)
+    return (EdgeBatch.from_wire(arr) for arr in rebatch_arrays(chunks, batch_size))
+
+
 class FileSource(EdgeSource):
     """Lazily stream a whitespace-separated ``u v`` edge-list file.
 
-    Parsing is columnar: the file is read in ~1 MiB text blocks, each
-    block converted to an int64 array in bulk, self-loops filtered and
-    edges canonicalized with array operations, and the chunks re-cut
-    into exact ``batch_size`` :class:`~repro.streaming.batch.EdgeBatch`
-    slices. ``#`` comments and blank lines are skipped, as in SNAP
-    files; vertex ids must lie in ``[0, 2^31)``.
+    Parsing is columnar: the file is read in ~1 MiB blocks of whole
+    lines, each block converted to an int64 array by one ``loadtxt``
+    call, self-loops filtered and edges canonicalized with array
+    operations, and the chunks re-cut into exact ``batch_size``
+    :class:`~repro.streaming.batch.EdgeBatch` slices. ``#`` comments
+    and blank lines are skipped, as in SNAP files; vertex ids must lie
+    in ``[0, 2^31)``, and a bad line raises an error naming its line.
 
     Parameters
     ----------
@@ -188,20 +207,8 @@ class FileSource(EdgeSource):
         signed: bool = False,
     ) -> None:
         self.path = os.fspath(path)
-        if deduplicate is None:
-            deduplicate = not signed
-        elif deduplicate and signed:
-            raise InvalidParameterError(
-                "deduplicate=True cannot be combined with signed=True: "
-                "dedup would drop re-inserts and deletions of the same edge"
-            )
-        self.deduplicate = deduplicate
+        self.deduplicate = _resolve_dedup(deduplicate, signed)
         self.signed = signed
-
-    def edges(self) -> Iterator[Edge]:
-        """Lazily yield the (optionally deduplicated) edge stream."""
-        for batch in self.batches(65_536):
-            yield from batch
 
     def batches(self, batch_size: int) -> Iterator[EdgeBatch]:
         if batch_size <= 0:
@@ -211,16 +218,8 @@ class FileSource(EdgeSource):
         # surface only at the first next() deep inside a pipeline run.
         with open(self.path, "rb"):
             pass
-        if self.signed:
-            chunks = iter_signed_edge_array_chunks(self.path)
-            return (
-                EdgeBatch.from_wire(arr)
-                for arr in rebatch_arrays(chunks, batch_size)
-            )
-        chunks = iter_edge_array_chunks(self.path)
-        if self.deduplicate:
-            chunks = dedup_edge_arrays(chunks)
-        return (EdgeBatch(arr) for arr in rebatch_arrays(chunks, batch_size))
+        parse = iter_signed_edge_array_chunks if self.signed else iter_edge_array_chunks
+        return _text_batches(parse(self.path), batch_size, self.deduplicate)
 
     def __repr__(self) -> str:
         signed = ", signed=True" if self.signed else ""
@@ -310,17 +309,18 @@ class LineSource(EdgeSource):
 
     The handle can be anything that reads lines -- an open file,
     ``sys.stdin``, a ``StringIO``, a socket's ``makefile()`` -- and is
-    pulled through the same columnar chunk parser as
-    :class:`FileSource` (comments, blank lines, and self-loops skipped;
-    extra columns ignored; canonical ``u < v`` rows). A binary handle
-    is wrapped in a UTF-8 text layer automatically.
+    parsed by the same block parser as :class:`FileSource` (comments,
+    blank lines, and self-loops skipped; extra or ragged columns
+    ignored; canonical ``u < v`` rows; a bad line raises an error naming
+    its line, counted from the handle's position when reading began).
+    A binary handle is wrapped in a UTF-8 text layer automatically.
 
-    Reading is *live*: lines are gulped roughly one batch at a time and
-    parsed immediately, so a slow producer piping into ``sys.stdin``
-    sees its edges surface after about ``batch_size`` lines -- not
-    after some parser-internal chunk fills. Memory is bounded by one
-    gulp regardless of (possibly unbounded) stream length, and ragged
-    rows are handled per gulp even on non-seekable pipes.
+    Reading is *live*: each block is the next ``batch_size`` lines,
+    parsed as soon as they are read, so a slow producer piping into
+    ``sys.stdin`` sees its edges surface after about ``batch_size``
+    lines -- not after some parser-internal chunk fills. Memory is
+    bounded by one block regardless of (possibly unbounded) stream
+    length.
 
     One-shot (``replayable = False``): the handle's position is the
     stream. The caller owns the handle and its lifetime.
@@ -346,11 +346,7 @@ class LineSource(EdgeSource):
             raise InvalidParameterError(
                 f"LineSource needs an open file object, got {type(handle).__name__!r}"
             )
-        if deduplicate and signed:
-            raise InvalidParameterError(
-                "deduplicate=True cannot be combined with signed=True: "
-                "dedup would drop re-inserts and deletions of the same edge"
-            )
+        self.deduplicate = _resolve_dedup(deduplicate, signed)
         try:
             probe = handle.read(0)
         except (TypeError, ValueError, OSError):
@@ -358,7 +354,6 @@ class LineSource(EdgeSource):
         if isinstance(probe, bytes):
             handle = io.TextIOWrapper(handle, encoding="utf-8")
         self._handle = handle
-        self.deduplicate = deduplicate
         self.signed = signed
 
     def batches(self, batch_size: int) -> Iterator[EdgeBatch]:
@@ -370,74 +365,13 @@ class LineSource(EdgeSource):
                 "underlying stream or use a FileSource for replayable input"
             )
         handle, self._handle = self._handle, None
-        if self.signed:
-            chunks = _gulped_signed_line_chunks(handle, batch_size)
-            return (
-                EdgeBatch.from_wire(arr)
-                for arr in rebatch_arrays(chunks, batch_size)
-            )
-        chunks = _gulped_line_chunks(handle, batch_size)
-        if self.deduplicate:
-            chunks = dedup_edge_arrays(chunks)
-        return (EdgeBatch(arr) for arr in rebatch_arrays(chunks, batch_size))
+        chunks = parse_blocks(text_blocks(handle, lines=batch_size), signed=self.signed)
+        return _text_batches(chunks, batch_size, self.deduplicate)
 
     def __repr__(self) -> str:
         state = "exhausted" if self._handle is None else "fresh"
         signed = ", signed=True" if self.signed else ""
         return f"LineSource(<{state}>, deduplicate={self.deduplicate}{signed})"
-
-
-def _gulped_line_chunks(handle, lines_per_gulp: int) -> Iterator[np.ndarray]:
-    """Parse an open handle in gulps of ``lines_per_gulp`` lines.
-
-    The chunk parser's ``np.loadtxt`` would otherwise block on an open
-    pipe until its internal row quota (~87k rows) fills; gulping lines
-    first keeps a live producer's edges surfacing after roughly one
-    batch worth of input. Each gulp is a seekable ``StringIO``, so the
-    ragged-row fallback works even when ``handle`` itself is a pipe.
-    """
-    while True:
-        lines = []
-        for line in handle:
-            lines.append(line)
-            if len(lines) >= lines_per_gulp:
-                break
-        if not lines:
-            return
-        yield from iter_edge_array_chunks(io.StringIO("".join(lines)))
-
-
-def _gulped_signed_line_chunks(handle, lines_per_gulp: int) -> Iterator[np.ndarray]:
-    """:func:`_gulped_line_chunks` for turnstile streams.
-
-    The signed layout must be locked by the *first* data line of the
-    whole stream, not re-probed per gulp (a re-probe would let a stream
-    silently flip between bare and signed layouts mid-flight), so the
-    gulp loop threads the probed format itself instead of calling
-    :func:`repro.graph.io.iter_signed_edge_array_chunks` per gulp.
-    """
-    fmt: str | None = None
-    lineno_base = 1
-    while True:
-        lines = []
-        for line in handle:
-            lines.append(line)
-            if len(lines) >= lines_per_gulp:
-                break
-        if not lines:
-            return
-        block = "".join(lines)
-        if not block.endswith("\n"):
-            block += "\n"
-        if fmt is None:
-            fmt = _probe_signed_format(block)
-            if fmt is None:
-                lineno_base += block.count("\n")
-                continue
-        out = _signed_block_rows(block, fmt, lineno_base)
-        lineno_base += block.count("\n")
-        if out.shape[0]:
-            yield out
 
 
 class FollowSource(FileSource):
@@ -448,7 +382,8 @@ class FollowSource(FileSource):
     ``poll_interval`` seconds and keeps streaming whatever arrives.
     Each poll parses only the *complete* lines added since the last one
     (a partially-written trailing line waits for its newline), through
-    the same columnar chunk parser as :class:`FileSource`.
+    the same block parser as :class:`FileSource`; errors name the line
+    of the followed file.
 
     Batching is best-effort live: full ``batch_size`` batches while
     data is flowing, and a short batch flushing the buffered remainder
@@ -480,11 +415,11 @@ class FollowSource(FileSource):
       :class:`~repro.errors.SourceRotatedWarning` and restarts from
       offset zero of the new file.
     - Unparseable lines (a writer crashed mid-record, injected
-      corruption) are dropped with a :class:`SourceRetryWarning`
-      naming the count, instead of killing the stream. A well-formed
-      line whose id is outside ``[0, 2^31)`` is not corruption: it
-      raises :class:`~repro.errors.VertexIdError` on both the signed
-      and unsigned paths.
+      corruption) are dropped by the parser's scrub mode with a
+      :class:`SourceRetryWarning` naming the count, instead of killing
+      the stream. A well-formed line whose id is outside ``[0, 2^31)``
+      is not corruption: it raises :class:`~repro.errors.VertexIdError`
+      on both the signed and unsigned paths.
 
     Parameters
     ----------
@@ -505,11 +440,11 @@ class FollowSource(FileSource):
         ends the stream.
     signed:
         Follow the file as a turnstile stream (sign column or ``+``/
-        ``-`` prefix; layout locked by the first data line and held
-        across polls). Unparseable or layout-mixed lines are scrubbed
-        with a :class:`~repro.errors.SourceRetryWarning` like any other
-        follow-mode corruption -- resilience wins over strictness on a
-        live stream.
+        ``-`` prefix; layout locked by the first parseable data line
+        and held across polls). Unparseable or layout-mixed lines are
+        scrubbed with a :class:`~repro.errors.SourceRetryWarning` like
+        any other follow-mode corruption -- resilience wins over
+        strictness on a live stream.
     """
 
     def __init__(
@@ -540,145 +475,45 @@ class FollowSource(FileSource):
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         with open(self.path, "rb"):
             pass  # fail fast, like FileSource
-        return self._follow(batch_size)
+        chunks = parse_blocks(self._follow(), signed=self.signed, scrub=self._scrubbed)
+        return _text_batches(chunks, batch_size, self.deduplicate)
 
-    def _follow(self, batch_size: int) -> Iterator[EdgeBatch]:
-        """The poll loop: parse grown bytes, rebatch, flush on idle.
+    def _scrubbed(self, dropped: int) -> None:
+        warnings.warn(
+            SourceRetryWarning(
+                f"dropped {dropped} unparseable line(s) from the "
+                f"followed stream {self.path!r}"
+            ),
+            stacklevel=2,
+        )
 
-        The file is read in binary with an explicit consumed position,
-        which is what makes the failure handling possible: a read error
-        reopens and seeks back to ``pos``, and a rotation/truncation
-        restarts ``pos`` at zero. Text only ever comes from complete
-        lines (bytes up to the last newline), so a chunk boundary can
-        never split a record or a UTF-8 sequence.
+    def _follow(self) -> Iterator[tuple[str, int] | None]:
+        """The poll loop: yield grown complete lines as text blocks.
+
+        Yields ``(text, first line number)`` pairs for the parser, and
+        ``None`` at each EOF poll, which flushes the partial batch so
+        live consumers see every parsed edge before the stream goes
+        quiet. The file is read in binary with an explicit consumed
+        position, which is what makes the failure handling possible: a
+        read error reopens and seeks back to ``pos``, and a
+        rotation/truncation restarts ``pos`` at zero. Text only ever
+        comes from complete lines (bytes up to the last newline), so a
+        block boundary can never split a record or a UTF-8 sequence.
         """
-        seen = np.empty(0, dtype=np.int64)  # dedup keys, if enabled
-        buffer: list[np.ndarray] = []
-        buffered = 0
         tail = b""  # partial trailing line awaiting its newline
         pos = 0  # bytes consumed from the current file
+        line = 1  # number of the next line of the current file
         failures = 0
-        sfmt: str | None = None  # signed layout, locked across polls
-        wrap = EdgeBatch.from_wire if self.signed else EdgeBatch
-
-        def _arrays(text: str) -> list[np.ndarray]:
-            """Parse complete lines, scrubbing any that will not parse."""
-            if self.signed:
-                return _signed_arrays(text)
-            try:
-                return list(iter_edge_array_chunks(io.StringIO(text)))
-            except VertexIdError:
-                raise
-            except _COERCE_ERRORS:
-                kept = []
-                dropped = 0
-                for line in text.splitlines():
-                    parts = line.split()
-                    if not parts or parts[0].startswith("#"):
-                        continue
-                    try:
-                        int(parts[0]), int(parts[1])
-                    except (IndexError, ValueError):
-                        dropped += 1
-                        continue
-                    kept.append(line)
-                if dropped:
-                    _warn_dropped(dropped)
-                if not kept:
-                    return []
-                return list(
-                    iter_edge_array_chunks(io.StringIO("\n".join(kept) + "\n"))
-                )
-
-        def _warn_dropped(dropped: int) -> None:
-            warnings.warn(
-                SourceRetryWarning(
-                    f"dropped {dropped} unparseable line(s) from the "
-                    f"followed stream {self.path!r}"
-                ),
-                stacklevel=4,
-            )
-
-        def _signed_arrays(text: str) -> list[np.ndarray]:
-            """The signed parse: locked layout, per-line scrub fallback."""
-            nonlocal sfmt
-            if not text.endswith("\n"):
-                text += "\n"
-            if sfmt is None:
-                try:
-                    sfmt = _probe_signed_format(text)
-                except _COERCE_ERRORS:
-                    sfmt = None  # even the probe line is garbage: scrub
-            if sfmt is not None:
-                try:
-                    out = _signed_block_rows(text, sfmt, 1)
-                    return [out] if out.shape[0] else []
-                except _COERCE_ERRORS:
-                    pass
-            kept: list[np.ndarray] = []
-            dropped = 0
-            for line in text.splitlines():
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    fmt = sfmt or _probe_signed_format(stripped + "\n")
-                    arr = _signed_block_rows(stripped + "\n", fmt, 1)
-                except VertexIdError:
-                    raise
-                except _COERCE_ERRORS:
-                    dropped += 1
-                    continue
-                if sfmt is None:
-                    sfmt = fmt
-                if arr.shape[0]:
-                    kept.append(arr)
-            if dropped:
-                _warn_dropped(dropped)
-            return kept
-
-        def _parse(text: str) -> Iterator[np.ndarray]:
-            nonlocal seen
-            for arr in _arrays(text):
-                if not self.deduplicate:
-                    yield arr
-                    continue
-                fresh, seen = dedup_chunk(arr, seen)
-                if fresh.shape[0]:
-                    yield fresh
-
-        def _merge_and_reset() -> np.ndarray:
-            nonlocal buffer, buffered
-            merged = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
-            buffer, buffered = [], 0
-            return merged
-
-        def _absorb(text: str) -> Iterator[EdgeBatch]:
-            nonlocal buffer, buffered
-            for arr in _parse(text):
-                buffer.append(arr)
-                buffered += arr.shape[0]
-                if buffered < batch_size:
-                    continue
-                merged = _merge_and_reset()
-                start = 0
-                while merged.shape[0] - start >= batch_size:
-                    yield wrap(merged[start : start + batch_size])
-                    start += batch_size
-                rest = merged[start:]
-                buffer = [rest] if rest.shape[0] else []
-                buffered = rest.shape[0]
 
         def _reopen(handle, *, from_start: bool) -> object:
-            nonlocal pos, tail
+            nonlocal pos, tail, line
             if handle is not None:
                 try:
                     handle.close()
                 except OSError:  # pragma: no cover - close of a bad fd
                     pass
             if from_start:
-                pos = 0
-                tail = b""
+                pos, tail, line = 0, b"", 1
             handle = open(self.path, "rb")
             handle.seek(pos)
             return handle
@@ -740,12 +575,11 @@ class FollowSource(FileSource):
                         tail = data
                         continue
                     tail = data[cut + 1 :]
-                    yield from _absorb(data[: cut + 1].decode("utf-8", "replace"))
+                    text = data[: cut + 1].decode("utf-8", "replace")
+                    yield text, line
+                    line += text.count("\n")
                     continue
-                # At EOF: flush the partial batch so live consumers see
-                # every parsed edge before the stream goes quiet.
-                if buffered:
-                    yield wrap(_merge_and_reset())
+                yield None  # at EOF: flush the partial batch
                 try:
                     named = os.stat(self.path)
                     opened = os.fstat(handle.fileno())
@@ -776,9 +610,7 @@ class FollowSource(FileSource):
                 handle.close()
         if tail.strip():
             # The writer ended the stream without a final newline.
-            yield from _absorb(tail.decode("utf-8", "replace") + "\n")
-        if buffered:
-            yield wrap(_merge_and_reset())
+            yield tail.decode("utf-8", "replace"), line
 
     def __repr__(self) -> str:
         return (

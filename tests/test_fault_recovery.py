@@ -46,6 +46,7 @@ from repro.errors import (
     RetryExhaustedError,
     SourceRetryWarning,
     SourceRotatedWarning,
+    VertexIdError,
     WorkerCrashedError,
     WorkerRestartedWarning,
 )
@@ -460,6 +461,34 @@ class TestFollowSourceResilience:
             warnings.simplefilter("error", SourceRetryWarning)
             with pytest.raises(InvalidParameterError, match="got 3000000000"):
                 _collect(source)
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_id_beyond_int64_raises_not_scrubbed(self, tmp_path, signed):
+        """An id too big for int64 is an out-of-range id like any other:
+        it raises VertexIdError naming the line instead of escaping as
+        an OverflowError that the scrub set swallowed."""
+        path = tmp_path / "live.edges"
+        sign = " +1" if signed else ""
+        path.write_text(f"0 1{sign}\n1 99999999999999999999{sign}\n")
+        source = FollowSource(path, poll_interval=0.01, idle_timeout=0.2, signed=signed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SourceRetryWarning)
+            with pytest.raises(VertexIdError, match="line 2: .*got 99999999999999999999"):
+                _collect(source)
+
+    @pytest.mark.timeout(60)
+    def test_corrupt_line_cannot_lock_the_signed_layout(self, tmp_path):
+        """The injected garbage line has three tokens; in scrub mode it
+        must not lock the 'u v +1' layout over a bare 'u v' file (which
+        would scrub every real edge)."""
+        path = tmp_path / "live.edges"
+        _write_edges(path, self.EDGES_A)
+        faults_module.install(FaultPlan.parse("source-corrupt@r1"))
+        source = FollowSource(path, poll_interval=0.01, idle_timeout=0.2, signed=True)
+        with pytest.warns(SourceRetryWarning, match="dropped 1 "):
+            got = _collect(source)
+        assert got == self.EDGES_A
 
 
 # ---------------------------------------------------------------------------

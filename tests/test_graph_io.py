@@ -136,7 +136,9 @@ class TestHandleInput:
         ]
         assert parsed == [(i, i + 1) for i in range(100)]
 
-    def test_non_seekable_handle_ragged_raises(self):
+    def test_non_seekable_handle_ragged_parses(self):
+        """Each block is re-parsed from memory, so ragged rows need no
+        seek-back: a pipe parses exactly like a seekable handle."""
         import io
 
         class Pipe(io.StringIO):
@@ -145,11 +147,13 @@ class TestHandleInput:
 
         lines = [f"{i} {i + 1}" for i in range(100)]
         lines[60] = "60 61 3.5 extra"
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="seekable"):
-            list(iter_edge_array_chunks(Pipe("\n".join(lines) + "\n"),
-                                        chunk_chars=256))
+        parsed = [
+            tuple(row)
+            for arr in iter_edge_array_chunks(Pipe("\n".join(lines) + "\n"),
+                                              chunk_chars=256)
+            for row in arr.tolist()
+        ]
+        assert parsed == [(i, i + 1) for i in range(100)]
 
     def test_dedup_chunk_threads_state(self):
         import numpy as np
@@ -202,3 +206,94 @@ class TestMalformedLines:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3")
         assert "Traceback" not in err
+
+
+class TestParseContract:
+    """Every text source names the offending line the same way."""
+
+    def _file_and_line(self, tmp_path, text, **kwargs):
+        import io
+
+        from repro.streaming import FileSource, LineSource
+
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        return [
+            lambda: list(FileSource(path, deduplicate=False, **kwargs).batches(16)),
+            lambda: list(LineSource(io.StringIO(text), **kwargs).batches(16)),
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2 +1\n\n3 4 +1 5 6 -1\n", "1 2\n\n3 4 5 6\n"],
+        ids=["column", "bare"],
+    )
+    def test_blank_line_cannot_hide_a_long_row(self, tmp_path, text):
+        """Regression: a blank line used to cancel a long row in the
+        signed fast path's token count, inventing the edge (5, 6)."""
+        from repro.errors import InvalidParameterError
+
+        for parse in self._file_and_line(tmp_path, text, signed=True):
+            with pytest.raises(InvalidParameterError, match="line 3: expected"):
+                parse()
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_id_beyond_int64_is_a_named_id_error(self, tmp_path, signed):
+        from repro.errors import VertexIdError
+
+        sign = " +1" if signed else ""
+        text = f"0 1{sign}\n1 99999999999999999999{sign}\n"
+        for parse in self._file_and_line(tmp_path, text, signed=signed):
+            with pytest.raises(VertexIdError, match="line 2: vertex ids"):
+                parse()
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_out_of_range_id_names_its_line(self, tmp_path, signed):
+        from repro.errors import VertexIdError
+
+        sign = " -1" if signed else ""
+        text = f"# header\n0 1{sign}\n\n3000000000 4{sign}\n1 2{sign}\n"
+        for parse in self._file_and_line(tmp_path, text, signed=signed):
+            with pytest.raises(
+                VertexIdError,
+                match=r"^line 4: vertex ids must be integers in \[0, 2\^31\); "
+                "got 3000000000$",
+            ):
+                parse()
+
+    def test_handle_lines_count_from_where_the_parse_began(self):
+        import io
+
+        from repro.errors import InvalidParameterError
+
+        handle = io.StringIO("0 1\n1 2\nfoo bar\n")
+        handle.readline()
+        with pytest.raises(InvalidParameterError, match="^line 2: cannot parse"):
+            list(iter_edge_array_chunks(handle))
+
+    def test_cli_names_an_id_beyond_int64(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 99999999999999999999\n")
+        assert main(["count", "--input", str(path), "--estimators", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2")
+        assert "Traceback" not in err
+
+    def test_comments_are_cut_mid_line_on_every_path(self):
+        """The per-line pass (which every prefix-layout block takes) cuts
+        ``#`` comments exactly as loadtxt does on the fast path."""
+        import io
+
+        from repro.graph.io import iter_signed_edge_array_chunks
+
+        def rows(text):
+            return [
+                row.tolist()
+                for arr in iter_signed_edge_array_chunks(io.StringIO(text))
+                for row in arr
+            ]
+
+        assert rows("+ 0 1 # first\n- 2 1#x\n") == [[0, 1, 1], [1, 2, -1]]
+        assert rows("0 1 +1 # first\n2 1 -1#x\n") == [[0, 1, 1], [1, 2, -1]]
