@@ -7,7 +7,8 @@ this benchmark documents its behaviour on the Figure 3 workloads:
    coefficient wherever the triangle pool is adequate;
 2. the wedge estimator is *far* easier than the triangle estimator
    (zeta >> tau on sparse graphs), matching Lemma 3.11's sizing -- a
-   small wedge pool already nails zeta.
+   small wedge pool already nails zeta, which is why the transitivity
+   estimator reads zeta' from its triangle pool instead of a second one.
 """
 
 import pytest
@@ -25,7 +26,7 @@ def estimates():
     for name in EASY_DATASETS:
         dataset = load_dataset(name)
         exact = transitivity_coefficient(dataset.stream().to_graph())
-        est = TransitivityEstimator(65_536, 8_192, seed=1)
+        est = TransitivityEstimator(65_536, seed=1)
         edges = list(dataset.stream(order="random", seed=2))
         for start in range(0, len(edges), 262_144):
             est.update_batch(edges[start : start + 262_144])
@@ -37,7 +38,7 @@ def test_transitivity_benchmark(benchmark):
     dataset = load_dataset("dblp_like")
 
     def run():
-        est = TransitivityEstimator(16_384, 4_096, seed=0)
+        est = TransitivityEstimator(16_384, seed=0)
         est.update_batch(dataset.edges)
         return est.estimate()
 
@@ -72,7 +73,7 @@ def test_transitivity_ranking_matches_exact():
     for name in EASY_DATASETS:
         dataset = load_dataset(name)
         exact_order[name] = transitivity_coefficient(dataset.stream().to_graph())
-        est = TransitivityEstimator(32_768, 4_096, seed=4)
+        est = TransitivityEstimator(32_768, seed=4)
         est.update_batch(dataset.edges)
         estimated_order[name] = est.estimate()
     exact_rank = sorted(exact_order, key=exact_order.get)

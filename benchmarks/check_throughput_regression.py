@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Nine gates. The first two compare against the repo's committed
+Ten gates. The first two compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -71,6 +71,14 @@ runner does not count against either leg. Both layouts read 4-6x on a
 2-core box; a layout that drops off the ``loadtxt`` fast path onto the
 per-line pass reads about 1x, and the old signed parser read 0.6x.
 
+The tenth is self-relative as well: ``TransitivityEstimator`` reads
+``tau'`` and ``zeta'`` from one estimator pool, so at r=100,000 on the
+``pipeline-file`` benchmark graph (``holme_kim(40_000, 8, 0.35)``,
+~320k edges, batches of 65,536 with their contexts built outside the
+timed loop) it must cost at most 1.3x a ``TriangleCounter`` of the same
+pool size, min of 5 interleaved runs each. One pool reads about 1.0x;
+a second engine sneaking back in reads about 2x.
+
     PYTHONPATH=src python benchmarks/check_throughput_regression.py
 """
 
@@ -95,6 +103,8 @@ PIPELINE_RUN_RATIO_FLOOR = 0.75
 EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
 #: The parse gate: per-line reference time over FileSource time, per layout.
 PARSE_SPEEDUP_FLOOR = 3.0
+#: The transitivity gate: transitivity time over same-r count time.
+TRANSITIVITY_RATIO_CEILING = 1.3
 
 
 def _gate(label: str, measured: float, baseline: float) -> bool:
@@ -407,6 +417,52 @@ def _parse_gate() -> bool:
     return ok
 
 
+def _transitivity_gate() -> bool:
+    import numpy as np
+
+    from repro.core.transitivity import TransitivityEstimator
+    from repro.core.triangle_count import TriangleCounter
+    from repro.generators import holme_kim
+    from repro.streaming.batch import EdgeBatch
+
+    r, w = 100_000, 65_536
+    stream = np.array(holme_kim(40_000, 8, 0.35, seed=0), dtype=np.int64)
+
+    def one_run(estimator) -> float:
+        batches = [
+            EdgeBatch(stream[start : start + w])
+            for start in range(0, stream.shape[0], w)
+        ]
+        for batch in batches:
+            batch.context  # noqa: B018 -- build outside the timed loop
+        t0 = time.perf_counter()
+        for batch in batches:
+            estimator.update_batch(batch)
+        return time.perf_counter() - t0
+
+    best = {"transitivity": float("inf"), "count": float("inf")}
+    for _ in range(5):
+        best["transitivity"] = min(
+            best["transitivity"], one_run(TransitivityEstimator(r, seed=2))
+        )
+        best["count"] = min(best["count"], one_run(TriangleCounter(r, seed=2)))
+    ratio = best["transitivity"] / max(best["count"], 1e-9)
+    print(
+        f"[throughput-gate] transitivity r={r} w={w} ({stream.shape[0]} edges): "
+        f"transitivity {best['transitivity']:.3f}s, count {best['count']:.3f}s "
+        f"({ratio:.2f}x, ceiling {TRANSITIVITY_RATIO_CEILING:.1f}x)"
+    )
+    if ratio > TRANSITIVITY_RATIO_CEILING:
+        print(
+            "[throughput-gate] FAIL (transitivity): the transitivity "
+            "estimator costs more than its ceiling over a count pool of "
+            "the same size -- it no longer runs on one pool",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def main() -> int:
     committed = json.loads(ARTIFACT.read_text())
     r = min(committed["r_values"])
@@ -434,6 +490,7 @@ def main() -> int:
     ok = _worker_shape_gate() and ok
     ok = _exact_baseline_gate() and ok
     ok = _parse_gate() and ok
+    ok = _transitivity_gate() and ok
 
     if not ok:
         return 1

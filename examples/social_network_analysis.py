@@ -32,7 +32,7 @@ def main() -> None:
 
     # One pass, three consumers.
     counter = TriangleCounter(scaled(40_000), seed=10)
-    transitivity = TransitivityEstimator(scaled(40_000), scaled(5_000), seed=11)
+    transitivity = TransitivityEstimator(scaled(40_000), seed=11)
     sampler = TriangleSampler(scaled(20_000), seed=12)
     batch_size = 16_384
     for start in range(0, m, batch_size):

@@ -164,7 +164,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_transitivity(args: argparse.Namespace) -> int:
-    est = TransitivityEstimator(args.estimators, args.wedge_estimators, seed=args.seed)
+    est = TransitivityEstimator(args.estimators, seed=args.seed)
     elapsed = _stream("transitivity", est, args)
     print(f"edges: {est.edges_seen:,}")
     print(f"estimated triangles: {est.triangle_estimate():,.1f}")
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans = sub.add_parser("transitivity", help="transitivity coefficient")
     _add_common(p_trans)
     p_trans.add_argument("--estimators", type=int, default=100_000)
-    p_trans.add_argument("--wedge-estimators", type=int, default=None)
     p_trans.set_defaults(func=_cmd_transitivity)
 
     p_sample = sub.add_parser("sample", help="uniform triangle sampling")

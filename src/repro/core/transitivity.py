@@ -7,8 +7,11 @@ sampling already maintains yields an unbiased wedge estimate
 ``zeta~ = m * c`` (Lemma 3.10).
 
 Following Theorem 3.12, :class:`TransitivityEstimator` runs the triangle
-counting algorithm and the wedge estimator simultaneously on independent
-estimator pools and returns ``kappa' = 3 tau' / zeta'``.
+counting algorithm and the wedge estimator simultaneously and returns
+``kappa' = 3 tau' / zeta'``. Both estimates read one estimator pool:
+``tau~`` from each slot's closed triangle and ``zeta~`` from the same
+slot's level-1 counter. The theorem joins the two with a union bound,
+which needs no independence between them.
 """
 
 from __future__ import annotations
@@ -18,20 +21,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import EmptyStreamError, InvalidParameterError
-from .triangle_count import TriangleCounter, aggregate_mean
+from .triangle_count import aggregate_mean
 from .vectorized import VectorizedTriangleCounter
 
 __all__ = ["WedgeCounter", "TransitivityEstimator"]
 
 
-class WedgeCounter:
-    """(eps, delta)-approximate wedge counting (Lemma 3.11).
-
-    Runs ``r`` neighborhood-sampling states and averages
-    ``zeta~ = m * c``. Only the level-1 edge and its neighborhood
-    counter matter for this estimate; the engine's level-2 machinery
-    rides along at no asymptotic cost.
-    """
+class _Pool:
+    """One vectorized neighborhood-sampling pool and its stream surface."""
 
     uses_batch_context = True
 
@@ -52,14 +49,6 @@ class WedgeCounter:
     def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
         self._engine.update_batch(batch)
 
-    def estimates(self) -> np.ndarray:
-        """Per-estimator unbiased wedge estimates ``m * c``."""
-        return self._engine.wedge_estimates()
-
-    def estimate(self) -> float:
-        """The averaged wedge-count estimate ``zeta'``."""
-        return aggregate_mean(self.estimates())
-
     def state_dict(self) -> dict:
         """The engine's snapshot (checkpoint/ship surface)."""
         return self._engine.state_dict()
@@ -68,89 +57,66 @@ class WedgeCounter:
         """Restore an engine snapshot in place."""
         self._engine.load_state_dict(state)
 
-    def merge(self, other: "WedgeCounter") -> None:
+    def merge(self, other: "_Pool") -> None:
         """Absorb ``other``'s estimator pool (same stream observed)."""
         self._engine.merge(other._engine)
 
 
-class TransitivityEstimator:
+class WedgeCounter(_Pool):
+    """(eps, delta)-approximate wedge counting (Lemma 3.11).
+
+    Runs ``r`` neighborhood-sampling states and averages
+    ``zeta~ = m * c``. Only the level-1 edge and its neighborhood
+    counter matter for this estimate; the engine's level-2 machinery
+    rides along at no asymptotic cost.
+    """
+
+    def estimates(self) -> np.ndarray:
+        """Per-estimator unbiased wedge estimates ``m * c``."""
+        return self._engine.wedge_estimates()
+
+    def estimate(self) -> float:
+        """The averaged wedge-count estimate ``zeta'``."""
+        return aggregate_mean(self.estimates())
+
+
+class TransitivityEstimator(_Pool):
     """(eps, delta)-approximate transitivity coefficient (Theorem 3.12).
+
+    One pool of ``num_triangle_estimators`` slots serves both counts:
+    ``tau'`` is the mean of its triangle estimates and ``zeta'`` the
+    mean of its wedge estimates. Size the pool for ``tau'`` (Theorem
+    3.3, with accuracy ``eps/3, delta/2`` per the paper's composition):
+    every triangle closes three wedges, so ``zeta >= 3 tau`` and the
+    wedge sizing of Lemma 3.11 is at most a third of the triangle
+    sizing at the same ``(eps, delta)``. A pool sized for ``tau'``
+    therefore meets ``zeta'``'s bound too, and the union bound joins
+    the two without needing them independent.
 
     Parameters
     ----------
     num_triangle_estimators:
-        Pool size for the triangle count ``tau'`` (Theorem 3.3 sizing
-        with accuracy ``eps/3, delta/2`` per the paper's composition).
-    num_wedge_estimators:
-        Pool size for the wedge count ``zeta'`` (Lemma 3.11 sizing). If
-        omitted, uses the triangle pool size. Wedges are usually far
-        more plentiful than triangles, so a much smaller pool suffices.
+        The pool size ``r``.
     seed:
-        Seed for reproducibility; the two pools draw independent
-        sub-seeds.
+        Seed for reproducibility. The pool draws sub-seed ``2 * seed``,
+        so ``triangle_estimate()`` equals
+        ``TriangleCounter(r, seed=2 * seed).estimate()``.
     """
 
-    uses_batch_context = True
-
-    def __init__(
-        self,
-        num_triangle_estimators: int,
-        num_wedge_estimators: int | None = None,
-        *,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, num_triangle_estimators: int, *, seed: int | None = None) -> None:
         if num_triangle_estimators < 1:
             raise InvalidParameterError(
                 f"num_triangle_estimators must be >= 1, got {num_triangle_estimators}"
             )
-        wedge_r = num_wedge_estimators or num_triangle_estimators
-        tau_seed = None if seed is None else seed * 2
-        zeta_seed = None if seed is None else seed * 2 + 1
-        self._triangles = TriangleCounter(num_triangle_estimators, seed=tau_seed)
-        self._wedges = WedgeCounter(wedge_r, seed=zeta_seed)
-
-    @property
-    def edges_seen(self) -> int:
-        return self._triangles.edges_seen
-
-    def update(self, edge: tuple[int, int]) -> None:
-        """Observe one stream edge with both pools."""
-        self._triangles.update(edge)
-        self._wedges.update(edge)
-
-    def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
-        """Observe a batch of stream edges with both pools."""
-        self._triangles.update_batch(batch)
-        self._wedges.update_batch(batch)
-
-    def state_dict(self) -> dict:
-        """Both pools' snapshots (checkpoint/ship surface)."""
-        return {
-            "triangles": self._triangles.state_dict(),
-            "wedges": self._wedges.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place."""
-        if "triangles" not in state or "wedges" not in state:
-            raise InvalidParameterError(
-                "state dict missing fields: need 'triangles' and 'wedges'"
-            )
-        self._triangles.load_state_dict(state["triangles"])
-        self._wedges.load_state_dict(state["wedges"])
-
-    def merge(self, other: "TransitivityEstimator") -> None:
-        """Absorb ``other``'s two pools (same stream observed)."""
-        self._triangles.merge(other._triangles)
-        self._wedges.merge(other._wedges)
+        super().__init__(num_triangle_estimators, seed=None if seed is None else seed * 2)
 
     def triangle_estimate(self) -> float:
         """The pool's triangle count estimate ``tau'``."""
-        return self._triangles.estimate()
+        return aggregate_mean(self._engine.estimates())
 
     def wedge_estimate(self) -> float:
         """The pool's wedge count estimate ``zeta'``."""
-        return self._wedges.estimate()
+        return aggregate_mean(self._engine.wedge_estimates())
 
     def estimate(self) -> float:
         """``kappa' = 3 tau' / zeta'``.

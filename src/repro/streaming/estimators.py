@@ -66,12 +66,10 @@ def _transitivity_report(est) -> dict:
     default_estimators=100_000,
 )
 @reports(_transitivity_report)
-def _make_transitivity(
-    num_estimators: int, seed: int | None, *, wedge_estimators: int | None = None
-):
+def _make_transitivity(num_estimators: int, seed: int | None):
     from ..core.transitivity import TransitivityEstimator
 
-    return TransitivityEstimator(num_estimators, wedge_estimators, seed=seed)
+    return TransitivityEstimator(num_estimators, seed=seed)
 
 
 @register_estimator(

@@ -351,8 +351,7 @@ class LineSource(EdgeSource):
             probe = handle.read(0)
         except (TypeError, ValueError, OSError):
             probe = ""
-        if isinstance(probe, bytes):
-            handle = io.TextIOWrapper(handle, encoding="utf-8")
+        self._binary = isinstance(probe, bytes)
         self._handle = handle
         self.signed = signed
 
@@ -365,8 +364,18 @@ class LineSource(EdgeSource):
                 "underlying stream or use a FileSource for replayable input"
             )
         handle, self._handle = self._handle, None
-        chunks = parse_blocks(text_blocks(handle, lines=batch_size), signed=self.signed)
-        return _text_batches(chunks, batch_size, self.deduplicate)
+        return _text_batches(self._chunks(handle, batch_size), batch_size, self.deduplicate)
+
+    def _chunks(self, handle, batch_size: int) -> Iterator[np.ndarray]:
+        # A binary handle gets its UTF-8 text layer only while it is
+        # read, and detached after: a TextIOWrapper closes what it wraps
+        # when collected, and the caller owns the handle.
+        text = io.TextIOWrapper(handle, encoding="utf-8") if self._binary else handle
+        try:
+            yield from parse_blocks(text_blocks(text, lines=batch_size), signed=self.signed)
+        finally:
+            if text is not handle and not text.closed:
+                text.detach()
 
     def __repr__(self) -> str:
         state = "exhausted" if self._handle is None else "fresh"

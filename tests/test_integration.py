@@ -45,7 +45,7 @@ class TestMultipleConsumersOneStream:
 
         triangle_counter = TriangleCounter(15_000, seed=1)
         sampler = TriangleSampler(5_000, seed=2)
-        transitivity = TransitivityEstimator(15_000, 4_000, seed=3)
+        transitivity = TransitivityEstimator(15_000, seed=3)
         exact = ExactStreamingCounter()
 
         for start in range(0, len(edges), 512):

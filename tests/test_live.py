@@ -354,6 +354,21 @@ class TestLineSource:
             (0, 1), (1, 2), (2, 3)
         ]
 
+    @pytest.mark.parametrize("consume", [True, False])
+    def test_binary_handle_stays_open_after_source_is_dropped(self, consume):
+        """The caller owns the handle: neither reading nor dropping the
+        source closes it (a text layer left attached would, once
+        collected)."""
+        import gc
+
+        handle = io.BytesIO(b"0 1\n1 2\n")
+        source = LineSource(handle)
+        if consume:
+            assert [e for b in source.batches(4) for e in b] == [(0, 1), (1, 2)]
+        del source
+        gc.collect()
+        assert not handle.closed
+
     def test_live_gulping_does_not_wait_for_parser_chunk(self):
         """Regression: the chunk parser's loadtxt quota (~87k rows)
         must not delay a live stream -- one batch of lines has to

@@ -128,7 +128,8 @@ class TestRoundTrip:
         elif name == "exact":
             assert a.estimate() == ea == eb
         elif name == "transitivity":
-            # both sub-pools merge as weighted means
+            # kappa' is a ratio, so it does not merge linearly; tau' and
+            # zeta', both read from the one pool, do (asserted below)
             pass
         # the merged pool keeps streaming
         a.update_batch(stream[:16])

@@ -1,11 +1,15 @@
 """Tests for wedge counting and transitivity estimation (Section 3.5)."""
 
+import numpy as np
 import pytest
 
 from repro.core.transitivity import TransitivityEstimator, WedgeCounter
+from repro.core.triangle_count import TriangleCounter
+from repro.core.vectorized import VectorizedTriangleCounter
 from repro.errors import EmptyStreamError, InvalidParameterError
-from repro.exact import count_wedges, transitivity_coefficient
-from repro.generators import complete_graph, star_graph
+from repro.exact import count_triangles, count_wedges, transitivity_coefficient
+from repro.generators import complete_graph, holme_kim, star_graph
+from repro.streaming.batch import EdgeBatch
 from tests.conftest import assert_mean_close
 
 
@@ -61,7 +65,7 @@ class TestTransitivityEstimator:
     def test_matches_exact_on_social_graph(self, small_social_graph):
         edges, _ = small_social_graph
         kappa = transitivity_coefficient(edges)
-        est = TransitivityEstimator(25_000, 5_000, seed=7)
+        est = TransitivityEstimator(25_000, seed=7)
         est.update_batch(edges)
         assert est.estimate() == pytest.approx(kappa, rel=0.25)
 
@@ -73,15 +77,65 @@ class TestTransitivityEstimator:
         assert est.wedge_estimate() > 0
         assert est.edges_seen == len(edges)
 
-    def test_separate_pools_are_independent(self):
-        """The wedge pool can be much smaller than the triangle pool."""
-        est = TransitivityEstimator(1_000, 100, seed=9)
-        est.update_batch(complete_graph(8))
-        assert est._wedges.num_estimators == 100
-        assert est._triangles.num_estimators == 1_000
+    def test_one_pool_serves_both_estimates(self, small_social_graph):
+        """tau' is the triangle counter at sub-seed 2s, bit for bit, and
+        zeta' is the mean of that same pool's wedge estimates."""
+        edges, _ = small_social_graph
+        est = TransitivityEstimator(1_000, seed=9)
+        counter = TriangleCounter(1_000, seed=18)
+        est.update_batch(edges)
+        counter.update_batch(edges)
+        assert est.num_estimators == 1_000
+        assert est.triangle_estimate() == counter.estimate()
+        assert est.wedge_estimate() == float(np.mean(counter.engine.wedge_estimates()))
+
+    def test_retired_two_pool_checkpoint_is_rejected(self):
+        old = TransitivityEstimator(50, seed=1)
+        old.update_batch(complete_graph(5))
+        retired = {"triangles": old.state_dict(), "wedges": old.state_dict()}
+        with pytest.raises(InvalidParameterError):
+            TransitivityEstimator(50, seed=1).load_state_dict(retired)
 
     def test_per_edge_update_path(self):
         est = TransitivityEstimator(200, seed=10)
         for e in complete_graph(6):
             est.update(e)
         assert est.edges_seen == 15
+
+
+class TestTransitivityAccuracy:
+    """The kappa and zeta legs of the accuracy gate (Theorem 3.12).
+
+    K seeds of a small pool on a Holme-Kim graph with exact counts
+    (m=11,984, tau=4,047, zeta=227,845). Both one-pool estimates must
+    be unbiased, and reading zeta' from the triangle pool must not make
+    kappa' noisier than the two-pool design, which pairs the same
+    triangle pool (sub-seed 2s) with a separate wedge pool (2s + 1).
+    """
+
+    K, R = 200, 2_000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        edges = holme_kim(3000, 4, 0.4, seed=5)
+        batch = EdgeBatch.from_edges(edges)
+        one, two = np.empty((self.K, 2)), np.empty((self.K, 2))
+        for s in range(self.K):
+            est = TransitivityEstimator(self.R, seed=s)
+            est.update_batch(batch)
+            wedge_pool = VectorizedTriangleCounter(self.R, seed=2 * s + 1)
+            wedge_pool.update_batch(batch)
+            one[s] = est.triangle_estimate(), est.wedge_estimate()
+            two[s] = one[s, 0], wedge_pool.wedge_estimates().mean()
+        return count_triangles(edges), count_wedges(edges), one, two
+
+    def test_tau_and_zeta_unbiased(self, draws):
+        tau, zeta, one, _ = draws
+        z = (one.mean(axis=0) - [tau, zeta]) / (one.std(axis=0, ddof=1) / np.sqrt(self.K))
+        assert np.all(np.abs(z) <= 4.0), f"bias z-scores (tau', zeta') = {z}"
+
+    def test_kappa_variance_no_worse_than_two_pools(self, draws):
+        _, _, one, two = draws
+        var_one = np.var(3 * one[:, 0] / one[:, 1], ddof=1)
+        var_two = np.var(3 * two[:, 0] / two[:, 1], ddof=1)
+        assert var_one <= 1.1 * var_two, f"var(kappa') {var_one:.3g} vs two pools {var_two:.3g}"
