@@ -1,6 +1,6 @@
 """CI smoke gate: fail when streaming throughput regresses badly.
 
-Ten gates. The first two compare against the repo's committed
+Eleven gates. The first two compare against the repo's committed
 ``BENCH_throughput.json``, failing below 50% of the committed value --
 generous enough for CI hardware variance, tight enough to catch a
 hot-path regression:
@@ -79,6 +79,18 @@ timed loop) it must cost at most 1.3x a ``TriangleCounter`` of the same
 pool size, min of 5 interleaved runs each. One pool reads about 1.0x;
 a second engine sneaking back in reads about 2x.
 
+The eleventh is self-relative too: steady-state ``save_checkpoint``
+(the third and later saves into one directory) of an r=131,072 ``count``
+state must cost at most 2x the floor of any crash-safe save, min of 5
+interleaved runs each. The floor is a bare ``np.savez`` + ``fsync`` of
+the same arrays rewritten in place into one reused file, sealed by a
+small manifest written to a temp file, ``fsync``'d, renamed over the
+old one, and the directory ``fsync``'d. On a 2-core ext4 box the
+in-place rewrite alone takes a few ms and the seal about 60 ms. Saves
+rewrite one of two reused members in place, so they read about 1.0x; a
+save that allocates a fresh member and deletes the old one read 5-6x
+there.
+
     PYTHONPATH=src python benchmarks/check_throughput_regression.py
 """
 
@@ -105,6 +117,8 @@ EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
 PARSE_SPEEDUP_FLOOR = 3.0
 #: The transitivity gate: transitivity time over same-r count time.
 TRANSITIVITY_RATIO_CEILING = 1.3
+#: The checkpoint gate: steady-state save time over a bare in-place savez + fsync.
+CHECKPOINT_RATIO_CEILING = 2.0
 
 
 def _gate(label: str, measured: float, baseline: float) -> bool:
@@ -463,6 +477,73 @@ def _transitivity_gate() -> bool:
     return True
 
 
+def _checkpoint_gate() -> bool:
+    import tempfile
+
+    import numpy as np
+
+    from repro.generators import holme_kim
+    from repro.streaming import ESTIMATORS, save_checkpoint
+
+    r = 131_072
+    counter = ESTIMATORS.get("count").create(r, 1)
+    stream = np.array(holme_kim(40_000, 8, 0.35, seed=0), dtype=np.int64)
+    for start in range(0, stream.shape[0], 4_096):
+        counter.update_batch(stream[start : start + 4_096])
+    state = counter.state_dict()
+    arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = os.path.join(scratch, "ck")
+
+        def save() -> None:
+            save_checkpoint(directory, {"count": state}, edges_seen=len(stream))
+
+        def bare() -> None:
+            fd = os.open(os.path.join(scratch, "bare.npz"), os.O_WRONLY | os.O_CREAT, 0o666)
+            with os.fdopen(fd, "wb") as handle:
+                np.savez(handle, **arrays)
+                handle.truncate()
+                handle.flush()
+                os.fsync(handle.fileno())
+            seal = os.path.join(scratch, "seal.json")
+            with open(seal + ".tmp", "w", encoding="utf-8") as handle:
+                handle.write("{}")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(seal + ".tmp", seal)
+            dir_fd = os.open(scratch, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+
+        for warm in (save, save, bare):  # steady state: saves 3+ reuse a member
+            warm()
+        best = {"save": float("inf"), "bare": float("inf")}
+        for _ in range(5):
+            for label, fn in (("save", save), ("bare", bare)):
+                t0 = time.perf_counter()
+                fn()
+                best[label] = min(best[label], time.perf_counter() - t0)
+    ratio = best["save"] / max(best["bare"], 1e-9)
+    print(
+        f"[throughput-gate] checkpoint r={r}: save_checkpoint "
+        f"{1e3 * best['save']:.1f} ms, bare in-place rewrite + seal "
+        f"{1e3 * best['bare']:.1f} ms "
+        f"({ratio:.2f}x, ceiling {CHECKPOINT_RATIO_CEILING:.1f}x)"
+    )
+    if ratio > CHECKPOINT_RATIO_CEILING:
+        print(
+            "[throughput-gate] FAIL (checkpoint): a steady-state checkpoint "
+            "save costs more than its ceiling over rewriting the same arrays "
+            "in place and sealing -- saves no longer reuse their members",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def main() -> int:
     committed = json.loads(ARTIFACT.read_text())
     r = min(committed["r_values"])
@@ -491,6 +572,7 @@ def main() -> int:
     ok = _exact_baseline_gate() and ok
     ok = _parse_gate() and ok
     ok = _transitivity_gate() and ok
+    ok = _checkpoint_gate() and ok
 
     if not ok:
         return 1

@@ -11,11 +11,12 @@ on-disk format shared by every
   fingerprint, and one entry per estimator name holding every
   JSON-serializable piece of its ``state_dict`` (scalars, nested
   structures, rng states);
-- ``arrays-<token>.npz`` -- every numpy array reachable from any state
-  dict, keyed by its path within the manifest (so a 100k-estimator
-  pool's arrays are stored in binary, not JSON). Each snapshot writes
-  a fresh, uniquely named member that the manifest references, so
-  overwriting a live checkpoint is crash-safe too.
+- ``arrays-0.npz`` / ``arrays-1.npz`` -- every numpy array reachable
+  from any state dict, keyed by its path within the manifest (so a
+  100k-estimator pool's arrays are stored in binary, not JSON). The
+  manifest names the live member; int64 arrays whose values fit in
+  int32 are stored as int32 with the original dtype in their marker,
+  so the two members together take about the disk one wide member did.
 
 :meth:`~repro.streaming.pipeline.Pipeline.checkpoint` and
 :meth:`~repro.streaming.pipeline.Pipeline.resume` drive this format;
@@ -24,12 +25,17 @@ dicts across process boundaries and merges them through the protocol's
 ``merge``.
 
 Writes are two-phase: the arrays member lands first, the manifest last
-(each via a temp file and ``os.replace``), so a crash mid-write never
-leaves a checkpoint that parses. Both temp files are flushed and
-``fsync``'d before their rename, and the directory itself is synced
-after the seal -- without that, a power loss after ``os.replace`` could
-surface a manifest whose *contents* never reached the platter (rename
-is atomic in the namespace, not in the data journal).
+(via a temp file and ``os.replace``), so a crash mid-write never leaves
+a checkpoint that parses. Both are ``fsync``'d before the seal, and the
+directory after it -- without that, a power loss after ``os.replace``
+could surface a manifest whose *contents* never reached the platter
+(rename is atomic in the namespace, not in the data journal). Each save
+rewrites in place the member the manifest does *not* name: allocating a
+fresh multi-megabyte member and freeing the old one made every save
+about 5x slower on ext4 with ``discard``. A per-save token in both the
+manifest and the member turns a reader that raced two saves (or a
+hand-edited directory) into a named error. Version 1 checkpoints (a
+uniquely named member, no token, no narrowed arrays) still load.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import hashlib
 import json
 import os
 import uuid
+import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -56,11 +63,13 @@ __all__ = [
     "verify_resume_source",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MANIFEST = "manifest.json"
-_ARRAYS = "arrays.npz"
+_MEMBERS = ("arrays-0.npz", "arrays-1.npz")
 _ARRAY_MARK = "__array__"
+_TOKEN = "__token__"  # never an array path: those all contain "/"
+_INT32 = np.iinfo(np.int32)
 _FINGERPRINT_HEAD = 1 << 16  # bytes of a file hashed for its fingerprint
 
 
@@ -89,6 +98,8 @@ def _encode(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
     """
     if isinstance(value, np.ndarray):
         arrays[path] = value
+        if _narrowed(value):
+            return {_ARRAY_MARK: path, "dtype": value.dtype.str}
         return {_ARRAY_MARK: path}
     if isinstance(value, np.generic):
         return value.item()
@@ -103,11 +114,19 @@ def _encode(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
     )
 
 
+def _narrowed(value: np.ndarray) -> bool:
+    """Whether ``value`` is stored as int32 (an int64 array that fits)."""
+    return bool(value.dtype == np.int64 and value.size) and (
+        _INT32.min <= value.min() and value.max() <= _INT32.max
+    )
+
+
 def _decode(value: Any, arrays: Mapping[str, np.ndarray]) -> Any:
     """Reverse :func:`_encode`, splicing arrays back into the tree."""
     if isinstance(value, dict):
-        if set(value) == {_ARRAY_MARK}:
-            return arrays[value[_ARRAY_MARK]]
+        if _ARRAY_MARK in value:
+            array = arrays[value[_ARRAY_MARK]]
+            return array.astype(value["dtype"]) if "dtype" in value else array
         return {k: _decode(v, arrays) for k, v in value.items()}
     if isinstance(value, list):
         return [_decode(v, arrays) for v in value]
@@ -145,28 +164,37 @@ def save_checkpoint(
     batch_size: int = 0,
     fingerprint: dict | None = None,
     metadata: Mapping[str, Any] | None = None,
-) -> None:
+) -> int:
     """Write a checkpoint directory at ``path`` (created if needed).
 
     ``states`` maps estimator names to their ``state_dict()`` output.
-    Each snapshot writes a *fresh*, uniquely named arrays member and
-    seals it by replacing the manifest (which names the member) last:
-    whichever manifest survives a crash always pairs with the arrays
-    file it was written against, so overwriting a live checkpoint in
-    place never produces a mixed-generation state. Stale arrays
-    members are swept after the seal.
+    The arrays are rewritten, in place, into whichever of the two
+    members the current manifest does not name (opened without
+    truncation, truncated to the written length, ``fsync``'d), then
+    sealed by replacing the manifest, which names it and carries the
+    same fresh token. The live member is never touched, so whichever
+    manifest survives a crash pairs with the intact member it names.
+    Stray members and temp files are swept after the seal. Returns the
+    bytes written (member plus manifest).
     """
     from . import faults as _faults
 
     _faults.fire_checkpoint_save()
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    arrays_name = f"arrays-{uuid.uuid4().hex[:12]}.npz"
+    try:
+        with open(os.path.join(path, _MANIFEST), "r", encoding="utf-8") as handle:
+            live = json.load(handle).get("arrays")
+    except (OSError, ValueError, AttributeError):
+        live = None
+    arrays_name = _MEMBERS[1] if live == _MEMBERS[0] else _MEMBERS[0]
+    token = uuid.uuid4().hex
+    arrays: dict[str, np.ndarray] = {_TOKEN: np.array(token)}
     manifest = {
         "format": "repro-checkpoint",
         "version": CHECKPOINT_VERSION,
         "arrays": arrays_name,
+        "token": token,
         "edges_seen": int(edges_seen),
         "batches": int(batches),
         "batch_size": int(batch_size),
@@ -177,27 +205,34 @@ def save_checkpoint(
             for name, state in states.items()
         },
     }
-    arrays_tmp = os.path.join(path, arrays_name + ".tmp")
-    with open(arrays_tmp, "wb") as handle:
-        np.savez(handle, **arrays)
+    fd = os.open(os.path.join(path, arrays_name), os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as handle:
+        with zipfile.ZipFile(handle, "w") as archive:  # the npz layout
+            for key, value in arrays.items():
+                # Narrowed one at a time, so no two int32 copies coexist.
+                stored = value.astype(np.int32) if _narrowed(value) else value
+                with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, stored, allow_pickle=False)
+        written = handle.truncate()
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(arrays_tmp, os.path.join(path, arrays_name))
     manifest_tmp = os.path.join(path, _MANIFEST + ".tmp")
     with open(manifest_tmp, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
         handle.flush()
         os.fsync(handle.fileno())
+        written += handle.tell()
     os.replace(manifest_tmp, os.path.join(path, _MANIFEST))
     _fsync_dir(path)
     for entry in os.listdir(path):
         if (
-            entry.startswith("arrays-") and entry != arrays_name
+            entry.startswith("arrays-") and entry not in _MEMBERS
         ) or entry.endswith(".tmp"):
             try:
                 os.remove(os.path.join(path, entry))
             except OSError:  # pragma: no cover - concurrent sweep
                 pass
+    return written
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
@@ -223,9 +258,22 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             f"checkpoint version {version} is newer than supported "
             f"({CHECKPOINT_VERSION}); upgrade the package to load it"
         )
-    arrays_name = manifest.get("arrays", _ARRAYS)
-    with np.load(os.path.join(path, arrays_name)) as npz:
-        arrays = {key: npz[key] for key in npz.files}
+    arrays_name = manifest.get("arrays", "arrays.npz")
+    try:
+        with np.load(os.path.join(path, arrays_name)) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: a bare .npy member loads as an array, not an archive
+        raise InvalidParameterError(
+            f"checkpoint at {path!r}: arrays member {arrays_name!r} is "
+            f"missing or corrupt ({type(exc).__name__}: {exc})"
+        ) from None
+    if version >= 2 and str(arrays.pop(_TOKEN, None)) != manifest.get("token"):
+        raise InvalidParameterError(
+            f"checkpoint at {path!r}: arrays member {arrays_name!r} does not "
+            "match its manifest's token (a save raced this load, or the "
+            "directory was edited); load it again"
+        )
     states = {
         name: _decode(tree, arrays)
         for name, tree in manifest["estimators"].items()

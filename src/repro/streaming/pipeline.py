@@ -154,17 +154,22 @@ class PipelineSnapshot(PipelineReport):
     When the pass runs with a durable journal, ``journal`` carries the
     writer's health (:meth:`JournalWriter.stats`: bytes appended,
     segment count, fsync lag, compactions, degraded flag) so
-    ``watch --jsonl`` consumers can alert on durability stalls.
+    ``watch --jsonl`` consumers can alert on durability stalls. With a
+    ``checkpoint_path``, ``checkpoint`` carries the pass's save count,
+    the last and slowest save's milliseconds, and the last save's bytes.
     """
 
     final: bool = False
     journal: dict[str, Any] | None = None
+    checkpoint: dict[str, Any] | None = None
 
     def to_dict(self) -> dict:
         out = super().to_dict()
         out["final"] = self.final
         if self.journal is not None:
             out["journal"] = self.journal
+        if self.checkpoint is not None:
+            out["checkpoint"] = self.checkpoint
         return out
 
     def render_line(self) -> str:
@@ -186,6 +191,11 @@ class PipelineSnapshot(PipelineReport):
                 f" [journal {self.journal.get('segments', 0)} seg | "
                 f"{self.journal.get('bytes_appended', 0):,} B | {health}]"
             )
+        if self.checkpoint is not None:
+            journal += (
+                " [ckpt {saves} | last {last_ms:.0f} ms | "
+                "max {max_ms:.0f} ms | {bytes:,} B]"
+            ).format(**self.checkpoint)
         return (
             f"[batch {self.batches:,} | {self.edges:,} edges | "
             f"{self.seconds:.2f}s]{marker}{journal} {parts}"
@@ -359,7 +369,7 @@ class Pipeline:
     # ------------------------------------------------------------------
     # durable checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(self, path) -> None:
+    def checkpoint(self, path) -> int:
         """Snapshot every estimator's state to the ``path`` directory.
 
         The on-disk format (npz + JSON manifest, versioned) is
@@ -368,6 +378,7 @@ class Pipeline:
         pipeline can :meth:`resume` and continue where this one stood.
         Every estimator must implement
         :class:`~repro.streaming.protocol.CheckpointableEstimator`.
+        Returns the bytes written.
         """
         states = {}
         for name, estimator in self._pairs:
@@ -379,7 +390,7 @@ class Pipeline:
                 )
             states[name] = op()
         journal_position = self._progress.get("journal")
-        save_checkpoint(
+        return save_checkpoint(
             path,
             states,
             edges_seen=self._progress["edges_seen"],
@@ -711,6 +722,7 @@ class Pipeline:
             "fingerprint": fingerprint,
             "journal": journal_position,
         }
+        checkpoint_stats = None
         if checkpoint_path is not None:
             # Snapshot before the stream pass. This both covers the
             # window before the first periodic snapshot and validates
@@ -719,8 +731,9 @@ class Pipeline:
             # over a non-checkpointable engine) expose state_dict and
             # raise only when it runs, which must not happen hours into
             # the stream.
+            checkpoint_stats = dict(saves=0, last_ms=0.0, max_ms=0.0, bytes=0)
             try:
-                self.checkpoint(checkpoint_path)
+                self._timed_checkpoint(checkpoint_path, checkpoint_stats)
             except BaseException:
                 if journal_writer is not None:
                     journal_writer.close()
@@ -738,7 +751,16 @@ class Pipeline:
             "journal": journal_writer,
             "journal_replay": journal_replay,
             "journal_resume": journal_resume,
+            "checkpoint": checkpoint_stats,
         }
+
+    def _timed_checkpoint(self, path, stats: dict[str, Any]) -> None:
+        """:meth:`checkpoint`, folding its latency and size into ``stats``."""
+        t0 = time.perf_counter()
+        written = self.checkpoint(path)
+        ms = (time.perf_counter() - t0) * 1e3
+        stats.update(saves=stats["saves"] + 1, last_ms=ms, bytes=written)
+        stats["max_ms"] = max(stats["max_ms"], ms)
 
     def _drive(
         self,
@@ -804,6 +826,7 @@ class Pipeline:
                 ],
                 final=final,
                 journal=journal.stats() if journal is not None else None,
+                checkpoint=state["checkpoint"] and dict(state["checkpoint"]),
             )
 
         def _save_checkpoint(path) -> None:
@@ -812,7 +835,7 @@ class Pipeline:
             # checkpoint are compacted once it is safely on disk.
             if journal is not None:
                 journal.sync()
-            self.checkpoint(path)
+            self._timed_checkpoint(path, state["checkpoint"])
             if journal is not None:
                 journal.compact(self._progress.get("journal"))
 

@@ -28,6 +28,7 @@ message.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Iterator, TypeVar
 
@@ -156,11 +157,27 @@ class EstimatorSpec:
     def create(
         self, num_estimators: int | None = None, seed: int | None = None, **overrides
     ) -> Any:
-        """Instantiate the estimator with spec defaults applied."""
+        """Instantiate the estimator with spec defaults applied.
+
+        An option the factory does not accept raises
+        :class:`~repro.errors.InvalidParameterError` listing the valid ones.
+        """
         kwargs = dict(self.options)
         kwargs.update(overrides)
         r = self.default_estimators if num_estimators is None else num_estimators
-        return self.factory(r, seed, **kwargs)
+        try:
+            return self.factory(r, seed, **kwargs)
+        except TypeError:
+            # Checked only on failure, so building a pipeline pays nothing.
+            params = list(inspect.signature(self.factory).parameters.values())[2:]
+            valid = [p.name for p in params if p.kind is not p.VAR_KEYWORD]
+            unknown = sorted(set(kwargs) - set(valid))
+            if not unknown or len(valid) < len(params):  # **options takes all
+                raise
+            raise InvalidParameterError(
+                f"estimator {self.name!r} has no option(s) {unknown}; "
+                f"valid options: {valid or 'none'}"
+            ) from None
 
 
 ENGINES: Registry[type] = Registry("engine")

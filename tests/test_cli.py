@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
@@ -114,6 +117,23 @@ class TestPipeline:
 
         assert results_only(first, "exact:") == results_only(resumed, "exact:")
         assert results_only(first, "count:") == results_only(resumed, "count:")
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_checkpoint_member_exits_1(self, graph_file, tmp_path, capsys, damage):
+        ckpt = tmp_path / "ck"
+        args = ["pipeline", "--input", graph_file, "--estimators", "100",
+                "--estimator", "count", "--batch-size", "64"]
+        assert main(args + ["--checkpoint", str(ckpt)]) == 0
+        member = ckpt / json.loads((ckpt / "manifest.json").read_text())["arrays"]
+        if damage == "missing":
+            os.remove(member)
+        else:
+            member.write_bytes(b"not an npz archive")
+        capsys.readouterr()
+        assert main(args + ["--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "missing or corrupt" in err and str(ckpt) in err
+        assert "Traceback" not in err
 
     def test_workers_flag_runs_sharded(self, graph_file, capsys):
         code = main(

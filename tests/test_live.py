@@ -128,6 +128,27 @@ class TestSnapshots:
         json.dumps(d)  # JSONL-safe
         line = snaps[-1].render_line()
         assert "[final]" in line and "exact:" in line
+        assert snaps[-1].checkpoint is None and "checkpoint" not in d
+        assert "[ckpt" not in line
+
+    def test_checkpointed_pass_reports_save_latency(self, tmp_path):
+        """One save before the stream, one every 2nd batch of 300 edges
+        in batches of 50, and the final one."""
+        snaps = list(
+            Pipeline.from_registry(["count"], num_estimators=POOL, seed=1).snapshots(
+                EDGES[:300], batch_size=50, every=1,
+                checkpoint_path=tmp_path / "ck", checkpoint_every=2,
+            )
+        )
+        saves = [s.checkpoint["saves"] for s in snaps]
+        assert saves == [1, 2, 2, 3, 3, 4, 5]
+        final = snaps[-1].checkpoint
+        assert 0 < final["last_ms"] <= final["max_ms"]
+        ck = tmp_path / "ck"  # the 5th save rewrote arrays-0, as did the 1st
+        on_disk = (ck / "manifest.json").stat().st_size + (ck / "arrays-0.npz").stat().st_size
+        assert final["bytes"] == on_disk
+        assert json.loads(json.dumps(snaps[-1].to_dict()))["checkpoint"] == final
+        assert "[ckpt 5 |" in snaps[-1].render_line()
 
     def test_works_over_one_shot_generator(self):
         snaps = list(

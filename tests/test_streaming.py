@@ -164,6 +164,19 @@ class TestRegistry:
             assert isinstance(estimator, StreamingEstimator), name
             estimator.update_batch(EDGES[:16])
 
+    def test_retired_option_is_a_named_error(self):
+        """``wedge_estimators`` sized transitivity's second pool, which is
+        gone; passing it must not escape as the factory's TypeError."""
+        with pytest.raises(InvalidParameterError, match="wedge_estimators.*none"):
+            Pipeline.from_registry(
+                ["transitivity"], options={"transitivity": {"wedge_estimators": 5}}
+            )
+
+    def test_unknown_option_lists_valid_ones(self):
+        with pytest.raises(InvalidParameterError, match=r"\['engin'\].*\['engine'\]"):
+            ESTIMATORS.get("count").create(4, 0, engin="bulk")
+        assert ESTIMATORS.get("count").create(4, 0, engine="bulk") is not None
+
 
 class TestDeriveSeed:
     def test_deterministic_and_name_keyed(self):

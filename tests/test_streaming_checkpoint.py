@@ -265,8 +265,8 @@ class TestFormat:
         """Regression: overwriting a live checkpoint used to replace
         the arrays member and the manifest independently, so a crash
         between the two left manifest N paired with arrays N+1. Each
-        snapshot now writes a fresh arrays member that its manifest
-        names, and stale members are swept after the seal."""
+        snapshot now rewrites the arrays member its manifest does not
+        name, and stray members are swept after the seal."""
         ck = tmp_path / "ck"
         counter = build("count", seed=0)
         feed(counter, stream[:100])
@@ -279,12 +279,157 @@ class TestFormat:
         loaded = load_checkpoint(ck)
         assert loaded.states["count"]["edges_seen"] == first_edges
 
-        # a completed second snapshot supersedes and sweeps everything
+        # a completed second snapshot supersedes and sweeps the stray
         feed(counter, stream[100:200])
         save_checkpoint(ck, {"count": counter.state_dict()}, edges_seen=200)
         assert load_checkpoint(ck).states["count"]["edges_seen"] == 200
-        arrays = [p.name for p in ck.iterdir() if p.name.startswith("arrays-")]
-        assert len(arrays) == 1  # the live member only; stale ones swept
+        arrays = sorted(p.name for p in ck.iterdir() if p.name.startswith("arrays-"))
+        assert arrays == ["arrays-0.npz", "arrays-1.npz"]  # the stray is swept
+        assert _manifest(ck)["arrays"] in arrays
+
+    def test_saves_alternate_between_two_reused_members(self, tmp_path, stream):
+        ck = tmp_path / "ck"
+        counter = build("count", seed=0)
+        names, inodes = [], []
+        for i in range(3):
+            feed(counter, stream[100 * i : 100 * (i + 1)])
+            save_checkpoint(ck, {"count": counter.state_dict()}, edges_seen=100 * i)
+            names.append(_manifest(ck)["arrays"])
+            inodes.append(os.stat(ck / names[-1]).st_ino)
+        assert names == ["arrays-0.npz", "arrays-1.npz", "arrays-0.npz"]
+        assert inodes[2] == inodes[0]  # rewritten in place, not reallocated
+
+    def test_torn_rewrite_of_idle_member_keeps_previous_generation(
+        self, tmp_path, stream
+    ):
+        """A crash mid-rewrite garbles only the member the manifest does
+        not name; the next save truncates it to its new length."""
+        ck = tmp_path / "ck"
+        counter = build("count", seed=0)
+        for i in range(2):
+            feed(counter, stream[100 * i : 100 * (i + 1)])
+            save_checkpoint(ck, {"count": counter.state_dict()}, edges_seen=100 * i)
+        idle = ck / "arrays-0.npz"
+        assert _manifest(ck)["arrays"] == "arrays-1.npz"
+        idle.write_bytes(b"\x00torn" * 200_000)  # longer than a real member
+        assert load_checkpoint(ck).edges_seen == 100
+
+        feed(counter, stream[200:300])
+        state = counter.state_dict()
+        save_checkpoint(ck, {"count": state}, edges_seen=200)
+        assert _manifest(ck)["arrays"] == "arrays-0.npz"
+        assert idle.stat().st_size < 1_000_000
+        loaded = load_checkpoint(ck)
+        assert loaded.edges_seen == 200
+        assert np.array_equal(loaded.states["count"]["c"], state["c"])
+
+    def test_token_mismatch_is_a_named_error(self, tmp_path):
+        """A reader holding save 1's manifest while saves 2 and 3 land
+        would pair it with save 3's rewrite of the same member."""
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, {"x": {"a": np.arange(4)}}, edges_seen=1)
+        stale = (ck / "manifest.json").read_text()
+        for edges in (2, 3):
+            save_checkpoint(ck, {"x": {"a": np.arange(4)}}, edges_seen=edges)
+        (ck / "manifest.json").write_text(stale)
+        with pytest.raises(InvalidParameterError, match="token"):
+            load_checkpoint(ck)
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt", "npy"])
+    def test_bad_live_member_is_a_named_error(self, tmp_path, damage):
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, {"x": {"a": np.arange(4)}}, edges_seen=1)
+        member = ck / _manifest(ck)["arrays"]
+        if damage == "missing":
+            os.remove(member)
+        elif damage == "npy":
+            with open(member, "wb") as handle:
+                np.save(handle, np.arange(4))
+        else:
+            member.write_bytes(b"not an npz archive")
+        with pytest.raises(InvalidParameterError, match="missing or corrupt") as info:
+            load_checkpoint(ck)
+        assert str(ck) in str(info.value)
+
+    def test_codec_round_trips_every_dtype(self, tmp_path):
+        state = {
+            "wide": np.array([2**31, -(2**31) - 1, 0], dtype=np.int64),
+            "fits": np.array([2**31 - 1, -(2**31), 7], dtype=np.int64),
+            "empty": np.array([], dtype=np.int64),
+            "empty2d": np.zeros((0, 3)),
+            "flags": np.array([True, False, True]),
+            "floats": np.array([0.5, -1e300, np.inf]),
+            "bytes": np.arange(250, dtype=np.uint8),
+            "i32": np.array([-5, 5], dtype=np.int32),
+            "grid": np.arange(12, dtype=np.int64).reshape(3, 4),
+        }
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, {"x": state}, edges_seen=0)
+        loaded = load_checkpoint(ck).states["x"]
+        for key, value in state.items():
+            assert loaded[key].dtype == value.dtype, key
+            assert loaded[key].shape == value.shape, key
+            assert np.array_equal(loaded[key], value), key
+        with np.load(ck / _manifest(ck)["arrays"]) as npz:
+            assert npz["x/wide"].dtype == np.int64  # beyond int32: kept wide
+            assert npz["x/fits"].dtype == np.int32  # narrowed on disk
+            assert npz["x/grid"].dtype == np.int32
+
+    def test_version_1_checkpoint_loads_and_resumes(self, tmp_path, stream):
+        """A version 1 directory -- a uniquely named member, no token, no
+        dtype markers, int64 stored wide -- still resumes bit-identically."""
+        batch = TestKillResume.BATCH
+        ck = tmp_path / "ck"
+        with pytest.raises(_Killed):
+            _full_pipeline().run(
+                _interruptible(stream, stop_after=7 * batch + 11),
+                batch_size=batch,
+                checkpoint_path=ck,
+                checkpoint_every=3,
+            )
+        v1 = tmp_path / "v1"
+        _write_version_1(v1, load_checkpoint(ck))
+        loaded = load_checkpoint(v1)
+        assert loaded.version == 1 and loaded.edges_seen == 6 * batch
+
+        resumed = _full_pipeline().resume(v1).run(stream, batch_size=batch)
+        uninterrupted = _full_pipeline().run(stream, batch_size=batch)
+        for name in ALL_NAMES:
+            assert resumed[name].results == uninterrupted[name].results, name
+
+
+def _manifest(ck):
+    return json.loads((ck / "manifest.json").read_text())
+
+
+def _write_version_1(path, ckpt):
+    """Lay ``ckpt`` out in the version 1 format, by hand."""
+    arrays = {}
+
+    def encode(value, key):
+        if isinstance(value, np.ndarray):
+            arrays[key] = value
+            return {"__array__": key}
+        if isinstance(value, dict):
+            return {str(k): encode(v, f"{key}/{k}") for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [encode(v, f"{key}/{i}") for i, v in enumerate(value)]
+        return value
+
+    manifest = {
+        "format": "repro-checkpoint",
+        "version": 1,
+        "arrays": "arrays-0123456789ab.npz",
+        "edges_seen": ckpt.edges_seen,
+        "batches": ckpt.batches,
+        "batch_size": ckpt.batch_size,
+        "fingerprint": ckpt.fingerprint,
+        "metadata": ckpt.metadata,
+        "estimators": {name: encode(s, name) for name, s in ckpt.states.items()},
+    }
+    path.mkdir()
+    np.savez(path / manifest["arrays"], **arrays)
+    (path / "manifest.json").write_text(json.dumps(manifest))
 
 
 # ---------------------------------------------------------------------------
