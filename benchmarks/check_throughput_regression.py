@@ -77,7 +77,12 @@ The tenth is self-relative as well: ``TransitivityEstimator`` reads
 ~320k edges, batches of 65,536 with their contexts built outside the
 timed loop) it must cost at most 1.3x a ``TriangleCounter`` of the same
 pool size, min of 5 interleaved runs each. One pool reads about 1.0x;
-a second engine sneaking back in reads about 2x.
+a second engine sneaking back in reads about 2x. Its co-run leg times
+``Pipeline.from_registry(["count", "transitivity"], seed=2).run``
+against ``["count"]`` alone on the same stream at the same r and batch
+size (contexts built inside the run, as a pipeline builds them), min of
+5 interleaved runs each, and fails above 1.15x: the two estimators read
+one pool, so the pair reads about 1.0x, and two pools read about 2x.
 
 The eleventh is self-relative too: steady-state ``save_checkpoint``
 (the third and later saves into one directory) of an r=131,072 ``count``
@@ -117,6 +122,8 @@ EXACT_SPEEDUP_FLOORS = {65_536: 1.5, 1_024: 1.0}
 PARSE_SPEEDUP_FLOOR = 3.0
 #: The transitivity gate: transitivity time over same-r count time.
 TRANSITIVITY_RATIO_CEILING = 1.3
+#: Its co-run leg: count+transitivity pipeline time over count alone.
+CORUN_RATIO_CEILING = 1.15
 #: The checkpoint gate: steady-state save time over a bare in-place savez + fsync.
 CHECKPOINT_RATIO_CEILING = 2.0
 
@@ -437,6 +444,7 @@ def _transitivity_gate() -> bool:
     from repro.core.transitivity import TransitivityEstimator
     from repro.core.triangle_count import TriangleCounter
     from repro.generators import holme_kim
+    from repro.streaming import Pipeline
     from repro.streaming.batch import EdgeBatch
 
     r, w = 100_000, 65_536
@@ -466,6 +474,7 @@ def _transitivity_gate() -> bool:
         f"transitivity {best['transitivity']:.3f}s, count {best['count']:.3f}s "
         f"({ratio:.2f}x, ceiling {TRANSITIVITY_RATIO_CEILING:.1f}x)"
     )
+    ok = True
     if ratio > TRANSITIVITY_RATIO_CEILING:
         print(
             "[throughput-gate] FAIL (transitivity): the transitivity "
@@ -473,8 +482,33 @@ def _transitivity_gate() -> bool:
             "the same size -- it no longer runs on one pool",
             file=sys.stderr,
         )
-        return False
-    return True
+        ok = False
+
+    def pipeline_run(names) -> float:
+        pipeline = Pipeline.from_registry(names, num_estimators=r, seed=2)
+        t0 = time.perf_counter()
+        pipeline.run(stream, batch_size=w)
+        return time.perf_counter() - t0
+
+    corun = {"pair": float("inf"), "count": float("inf")}
+    for _ in range(5):
+        corun["pair"] = min(corun["pair"], pipeline_run(["count", "transitivity"]))
+        corun["count"] = min(corun["count"], pipeline_run(["count"]))
+    ratio = corun["pair"] / max(corun["count"], 1e-9)
+    print(
+        f"[throughput-gate] co-run r={r} w={w}: count+transitivity "
+        f"{corun['pair']:.3f}s, count {corun['count']:.3f}s "
+        f"({ratio:.2f}x, ceiling {CORUN_RATIO_CEILING:.2f}x)"
+    )
+    if ratio > CORUN_RATIO_CEILING:
+        print(
+            "[throughput-gate] FAIL (transitivity co-run): a pipeline of "
+            "count and transitivity costs more than its ceiling over count "
+            "alone -- they no longer share one pool",
+            file=sys.stderr,
+        )
+        ok = False
+    return ok
 
 
 def _checkpoint_gate() -> bool:

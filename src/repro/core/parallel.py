@@ -138,7 +138,7 @@ class ParallelTriangleCounter:
         refuse_signed(source, ["count"])
         run = self._executor.run(programs, source, batch_size=batch_size)
         self.last_restarts = run.restarts
-        states = [worker_states["count"] for worker_states, _ in run.finals]
+        states = [final[0]["count"] for final in run.finals]
         merged = VectorizedTriangleCounter(1, seed=seed_seqs[-1])
         merged.load_state_dict({k: v for k, v in states[0].items() if k != "rng"})
         for state in states[1:]:

@@ -12,57 +12,27 @@ counting algorithm and the wedge estimator simultaneously and returns
 ``tau~`` from each slot's closed triangle and ``zeta~`` from the same
 slot's level-1 counter. The theorem joins the two with a union bound,
 which needs no independence between them.
+
+The same licence lets whole estimators share a pool. Both classes are
+:class:`~repro.core.vectorized.PoolView` s: alone, each builds its own
+pool; handed another estimator's engine (``pool=``), each reads that
+one. A pipeline that asks for ``count``, ``transitivity`` and
+``wedges`` at one pool size therefore runs neighborhood sampling once,
+and ``tau'``, ``zeta'`` and ``kappa'`` all read the same slots.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..errors import EmptyStreamError, InvalidParameterError
+from ..errors import EmptyStreamError
 from .triangle_count import aggregate_mean
-from .vectorized import VectorizedTriangleCounter
+from .vectorized import PoolView, VectorizedTriangleCounter
 
 __all__ = ["WedgeCounter", "TransitivityEstimator"]
 
 
-class _Pool:
-    """One vectorized neighborhood-sampling pool and its stream surface."""
-
-    uses_batch_context = True
-
-    def __init__(self, num_estimators: int, *, seed: int | None = None) -> None:
-        self._engine = VectorizedTriangleCounter(num_estimators, seed=seed)
-
-    @property
-    def num_estimators(self) -> int:
-        return self._engine.num_estimators
-
-    @property
-    def edges_seen(self) -> int:
-        return self._engine.edges_seen
-
-    def update(self, edge: tuple[int, int]) -> None:
-        self._engine.update(edge)
-
-    def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
-        self._engine.update_batch(batch)
-
-    def state_dict(self) -> dict:
-        """The engine's snapshot (checkpoint/ship surface)."""
-        return self._engine.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore an engine snapshot in place."""
-        self._engine.load_state_dict(state)
-
-    def merge(self, other: "_Pool") -> None:
-        """Absorb ``other``'s estimator pool (same stream observed)."""
-        self._engine.merge(other._engine)
-
-
-class WedgeCounter(_Pool):
+class WedgeCounter(PoolView):
     """(eps, delta)-approximate wedge counting (Lemma 3.11).
 
     Runs ``r`` neighborhood-sampling states and averages
@@ -73,14 +43,14 @@ class WedgeCounter(_Pool):
 
     def estimates(self) -> np.ndarray:
         """Per-estimator unbiased wedge estimates ``m * c``."""
-        return self._engine.wedge_estimates()
+        return self.engine.wedge_estimates()
 
     def estimate(self) -> float:
         """The averaged wedge-count estimate ``zeta'``."""
         return aggregate_mean(self.estimates())
 
 
-class TransitivityEstimator(_Pool):
+class TransitivityEstimator(PoolView):
     """(eps, delta)-approximate transitivity coefficient (Theorem 3.12).
 
     One pool of ``num_triangle_estimators`` slots serves both counts:
@@ -101,22 +71,29 @@ class TransitivityEstimator(_Pool):
         Seed for reproducibility. The pool draws sub-seed ``2 * seed``,
         so ``triangle_estimate()`` equals
         ``TriangleCounter(r, seed=2 * seed).estimate()``.
+    pool:
+        Another estimator's engine to read instead of building a pool
+        (then ``num_triangle_estimators`` and ``seed`` are unused).
     """
 
-    def __init__(self, num_triangle_estimators: int, *, seed: int | None = None) -> None:
-        if num_triangle_estimators < 1:
-            raise InvalidParameterError(
-                f"num_triangle_estimators must be >= 1, got {num_triangle_estimators}"
-            )
-        super().__init__(num_triangle_estimators, seed=None if seed is None else seed * 2)
+    def __init__(
+        self,
+        num_triangle_estimators: int,
+        *,
+        seed: int | None = None,
+        pool: VectorizedTriangleCounter | None = None,
+    ) -> None:
+        super().__init__(
+            num_triangle_estimators, seed=None if seed is None else seed * 2, pool=pool
+        )
 
     def triangle_estimate(self) -> float:
         """The pool's triangle count estimate ``tau'``."""
-        return aggregate_mean(self._engine.estimates())
+        return aggregate_mean(self.engine.estimates())
 
     def wedge_estimate(self) -> float:
         """The pool's wedge count estimate ``zeta'``."""
-        return aggregate_mean(self._engine.wedge_estimates())
+        return aggregate_mean(self.engine.wedge_estimates())
 
     def estimate(self) -> float:
         """``kappa' = 3 tau' / zeta'``.

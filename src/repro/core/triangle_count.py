@@ -30,7 +30,7 @@ from .accuracy import estimators_needed
 # side effect); re-exported for callers that address them directly.
 from .bulk import BulkTriangleCounter  # noqa: F401
 from .neighborhood_sampling import NeighborhoodSampler
-from .vectorized import VectorizedTriangleCounter  # noqa: F401
+from .vectorized import PoolView, VectorizedTriangleCounter
 
 __all__ = [
     "ReferenceTriangleCounter",
@@ -115,7 +115,7 @@ class ReferenceTriangleCounter:
         return self._samplers
 
 
-class TriangleCounter:
+class TriangleCounter(PoolView):
     """(eps, delta)-approximate triangle counting over an edge stream.
 
     Parameters
@@ -133,6 +133,10 @@ class TriangleCounter:
         (Theorem 3.4); the latter uses ``groups`` groups.
     seed:
         Seed for reproducible runs.
+    pool:
+        Another estimator's vectorized engine to read instead of
+        building one (then ``num_estimators``, ``engine`` and ``seed``
+        are unused); see :class:`~repro.core.vectorized.PoolView`.
 
     Examples
     --------
@@ -150,6 +154,7 @@ class TriangleCounter:
         aggregation: str = "mean",
         groups: int = 16,
         seed: int | None = None,
+        pool: VectorizedTriangleCounter | None = None,
     ) -> None:
         engine_cls = ENGINES.get(engine)
         if aggregation not in ("mean", "median-of-means"):
@@ -160,7 +165,9 @@ class TriangleCounter:
         # Construction-time configuration: a resumed counter is rebuilt
         # by its factory with the same arguments, and the engine's own
         # state travels through the delegated state_dict/load_state_dict.
-        self._engine = engine_cls(num_estimators, seed=seed)  # repro: derived
+        self.engine = (  # repro: derived
+            engine_cls(num_estimators, seed=seed) if pool is None else pool.share()
+        )
         self._engine_name = engine  # repro: derived
         self._aggregation = aggregation  # repro: derived
         self._groups = groups  # repro: derived
@@ -194,34 +201,17 @@ class TriangleCounter:
     # streaming
     # ------------------------------------------------------------------
     @property
-    def num_estimators(self) -> int:
-        return self._engine.num_estimators
-
-    @property
-    def edges_seen(self) -> int:
-        return self._engine.edges_seen
-
-    @property
-    def engine(self):
-        """The underlying engine (exposed for tests and diagnostics)."""
-        return self._engine
-
-    @property
     def engine_name(self) -> str:
         return self._engine_name
 
     def update(self, edge: tuple[int, int]) -> None:
         """Observe one stream edge."""
-        self._engine.update(edge)
-
-    def update_batch(self, batch: Sequence[tuple[int, int]]) -> None:
-        """Observe a batch of stream edges (order within the batch counts)."""
-        self._engine.update_batch(batch)
+        self.engine.update(edge)
 
     @property
     def uses_batch_context(self) -> bool:
         """Whether the engine reads the shared per-batch array index."""
-        return getattr(self._engine, "uses_batch_context", False)
+        return getattr(self.engine, "uses_batch_context", False)
 
     def state_dict(self) -> dict:
         """The engine's serializable state (checkpoint/ship surface).
@@ -238,11 +228,11 @@ class TriangleCounter:
 
     def merge(self, other: "TriangleCounter") -> None:
         """Absorb ``other``'s estimator pool (same stream observed)."""
-        engine = other._engine if isinstance(other, TriangleCounter) else other
+        engine = other.engine if isinstance(other, TriangleCounter) else other
         self._checkpointable("merge")(engine)
 
     def _checkpointable(self, method: str):
-        op = getattr(self._engine, method, None)
+        op = getattr(self.engine, method, None)
         if op is None:
             raise InvalidParameterError(
                 f"engine {self._engine_name!r} does not support {method}()"
@@ -254,7 +244,7 @@ class TriangleCounter:
     # ------------------------------------------------------------------
     def estimates(self):
         """Per-estimator unbiased estimates ``tau~``."""
-        return self._engine.estimates()
+        return self.engine.estimates()
 
     def estimate(self) -> float:
         """The aggregated triangle-count estimate."""
@@ -269,7 +259,7 @@ class TriangleCounter:
         algorithm whose samplers rarely complete a triangle produces
         low-quality estimates.
         """
-        estimates = np.asarray(self._engine.estimates())
+        estimates = np.asarray(self.engine.estimates())
         if estimates.size == 0:
             return 0.0
         return float((estimates > 0).mean())

@@ -10,7 +10,14 @@ probability at least ``tau / (2 m Delta)``.
 
 :class:`TriangleSampler` runs ``r`` such samplers (Theorem 3.8 sizes
 ``r`` so that ``k`` uniform-with-replacement triangles are produced with
-probability ``1 - delta``) on top of the vectorized engine.
+probability ``1 - delta``) on top of the vectorized engine. It is a
+:class:`~repro.core.vectorized.PoolView`: alone it builds its own pool,
+and handed another estimator's engine (``pool=``) it draws its samples
+from that pool's held triangles. The rejection step keeps its own
+generator and degree table either way, so the samples stay uniform.
+Sharing makes them depend on a co-run count; a union bound over the two
+guarantees, as Theorem 3.12 takes over tau' and zeta', needs no
+independence.
 """
 
 from __future__ import annotations
@@ -21,14 +28,14 @@ import numpy as np
 
 from ..errors import EmptyStreamError, InsufficientSampleError, InvalidParameterError
 from ..streaming.batch import EdgeBatch
-from .vectorized import VectorizedTriangleCounter
+from .vectorized import PoolView, VectorizedTriangleCounter
 
 __all__ = ["TriangleSampler"]
 
 Triangle = tuple[int, int, int]
 
 
-class TriangleSampler:
+class TriangleSampler(PoolView):
     """Maintain ``k``-sampleable uniform triangles over an edge stream.
 
     Parameters
@@ -43,10 +50,13 @@ class TriangleSampler:
         this costs ``O(n)`` extra memory, exactly like any consumer that
         must supply the paper's assumed ``Delta`` bound.
     seed:
-        Seed for reproducibility.
+        Seed for reproducibility: the pool's, and ``seed + 1`` for the
+        rejection step's generator.
+    pool:
+        Another estimator's engine to read instead of building a pool
+        (then ``num_estimators`` is unused and ``seed`` seeds only the
+        rejection step).
     """
-
-    uses_batch_context = True
 
     def __init__(
         self,
@@ -54,8 +64,9 @@ class TriangleSampler:
         *,
         max_degree: int | None = None,
         seed: int | None = None,
+        pool: VectorizedTriangleCounter | None = None,
     ) -> None:
-        self._engine = VectorizedTriangleCounter(num_estimators, seed=seed)
+        super().__init__(num_estimators, seed=seed, pool=pool)
         self._rng = np.random.default_rng(None if seed is None else seed + 1)
         self._fixed_delta = max_degree
         self._degrees: dict[int, int] | None = None if max_degree is not None else {}
@@ -63,22 +74,10 @@ class TriangleSampler:
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
-    @property
-    def num_estimators(self) -> int:
-        return self._engine.num_estimators
-
-    @property
-    def edges_seen(self) -> int:
-        return self._engine.edges_seen
-
-    def update(self, edge: tuple[int, int]) -> None:
-        """Observe one stream edge."""
-        self.update_batch([edge])
-
     def update_batch(self, batch: Sequence[tuple[int, int]] | EdgeBatch) -> None:
         """Observe a batch of stream edges."""
         batch = EdgeBatch.from_edges(batch)
-        self._engine.update_batch(batch)
+        self.engine.update_batch(batch)
         if self._degrees is not None:
             # Vectorized degree accumulation: only the (much smaller)
             # set of distinct batch vertices touches the Python dict.
@@ -93,7 +92,7 @@ class TriangleSampler:
     def state_dict(self) -> dict:
         """Snapshot: engine state, rejection rng, and tracked degrees."""
         state = {
-            "engine": self._engine.state_dict(),
+            "engine": self.engine.state_dict(),
             "rng": self._rng.bit_generator.state,
             "max_degree": self._fixed_delta,
         }
@@ -110,7 +109,7 @@ class TriangleSampler:
         """Restore a :meth:`state_dict` snapshot in place."""
         if "engine" not in state:
             raise InvalidParameterError("state dict missing fields: ['engine']")
-        self._engine.load_state_dict(state["engine"])
+        self.engine.load_state_dict(state["engine"])
         rng_state = state.get("rng")
         if rng_state is not None:
             self._rng = np.random.default_rng()
@@ -136,7 +135,7 @@ class TriangleSampler:
             raise InvalidParameterError(
                 "cannot merge samplers with different max_degree tracking modes"
             )
-        self._engine.merge(other._engine)
+        super().merge(other)
 
     # ------------------------------------------------------------------
     # queries
@@ -150,22 +149,22 @@ class TriangleSampler:
 
     def _released_triangles(self) -> list[Triangle]:
         """Run Lemma 3.7's rejection step over every held triangle."""
-        if self._engine.edges_seen == 0:
+        if self.engine.edges_seen == 0:
             raise EmptyStreamError("no edges observed yet")
         delta = self.current_max_degree()
         if delta == 0:
             return []
-        held = self._engine.tset
+        held = self.engine.tset
         if not held.any():
             return []
-        accept_prob = self._engine.c[held].astype(np.float64) / (2.0 * delta)
+        accept_prob = self.engine.c[held].astype(np.float64) / (2.0 * delta)
         accepted = self._rng.random(accept_prob.shape[0]) < accept_prob
         idx = np.nonzero(held)[0][accepted]
         return [
             (
-                int(self._engine.ta[i]),
-                int(self._engine.tb[i]),
-                int(self._engine.tc[i]),
+                int(self.engine.ta[i]),
+                int(self.engine.tb[i]),
+                int(self.engine.tc[i]),
             )
             for i in idx
         ]
@@ -206,7 +205,7 @@ class TriangleSampler:
 
     def success_fraction(self) -> float:
         """Fraction of samplers currently holding any triangle (pre-rejection)."""
-        return float(self._engine.tset.mean())
+        return float(self.engine.tset.mean())
 
     def estimate(self) -> float:
         """The underlying pool's triangle-count estimate (Theorem 3.3).
@@ -215,4 +214,4 @@ class TriangleSampler:
         the count estimate comes for free -- and it completes the
         :class:`~repro.streaming.protocol.StreamingEstimator` surface.
         """
-        return self._engine.estimate()
+        return self.engine.estimate()

@@ -66,7 +66,7 @@ from ..streaming.batch import BatchContext, EdgeBatch, _pack_index_sort
 from ..streaming.registry import register_engine
 from .watch_index import WatchIndex
 
-__all__ = ["STATE_FIELDS", "VectorizedTriangleCounter"]
+__all__ = ["STATE_FIELDS", "PoolView", "VectorizedTriangleCounter"]
 
 #: The per-estimator state arrays, in checkpoint order. The single
 #: source of truth shared by :meth:`VectorizedTriangleCounter.state_dict`,
@@ -211,6 +211,11 @@ class VectorizedTriangleCounter:
         # the state arrays before next use".
         self._vertex_watch: WatchIndex | None = None
         self._wedge_watch: WatchIndex | None = None
+        # A pool read by several views (see share()) owes the others a
+        # skip of the batch it absorbed last, so each advances it once.
+        self._views = 1  # repro: derived
+        self._skips = 0  # repro: derived
+        self._last_batch: EdgeBatch | None = None  # repro: derived
 
     # ------------------------------------------------------------------
     # public protocol shared by all engines
@@ -231,9 +236,27 @@ class VectorizedTriangleCounter:
         Coerces ``batch`` to an :class:`~repro.streaming.batch.EdgeBatch`
         (an ``EdgeBatch`` is returned unchanged; anything else is
         validated and canonicalized) and defers to
-        :meth:`update_prepared`.
+        :meth:`update_prepared`. A :meth:`share`-d pool skips the batch
+        object it absorbed last while other views still owe a feed of it.
         """
-        self.update_prepared(EdgeBatch.from_edges(batch))
+        batch = EdgeBatch.from_edges(batch)
+        if self._skips and batch is self._last_batch:
+            self._skips -= 1
+            return
+        self.update_prepared(batch)
+        if self._views > 1:
+            self._last_batch, self._skips = batch, self._views - 1
+
+    def share(self) -> "VectorizedTriangleCounter":
+        """Add a view reading this pool; returns ``self``.
+
+        A pool read by ``k`` views absorbs a batch object at the first
+        of each ``k`` feeds of it, whichever view is fed first, so a
+        fan-out that hands every view each batch advances it once per
+        batch (a source that repeats one batch object included).
+        """
+        self._views += 1
+        return self
 
     def update_prepared(self, batch: EdgeBatch) -> None:
         """Consume a validated batch: the body behind :meth:`update_batch`.
@@ -344,6 +367,7 @@ class VectorizedTriangleCounter:
             self._rng.bit_generator.state = rng_state
         self._vertex_watch = None
         self._wedge_watch = None
+        self._last_batch, self._skips = None, 0
 
     def merge(self, other: "VectorizedTriangleCounter") -> None:
         """Absorb ``other``'s estimator pool (same stream observed).
@@ -834,3 +858,52 @@ class VectorizedTriangleCounter:
             self._rebuild_vertex_watch()
         if self._wedge_watch is not None and self._wedge_watch.churn > limit:
             self._rebuild_wedge_watch()
+
+
+class PoolView:
+    """An estimator that reads one :class:`VectorizedTriangleCounter` pool.
+
+    With ``pool`` ``None`` the view builds a pool of ``num_estimators``
+    slots seeded ``seed``; given another view's ``engine`` it shares
+    that one and builds nothing. Views of one pool save, restore and
+    merge the same state, so merge one view per pool.
+    """
+
+    uses_batch_context = True
+
+    def __init__(
+        self,
+        num_estimators: int,
+        *,
+        seed: int | None = None,
+        pool: VectorizedTriangleCounter | None = None,
+    ) -> None:
+        self.engine = (
+            VectorizedTriangleCounter(num_estimators, seed=seed)
+            if pool is None
+            else pool.share()
+        )
+
+    @property
+    def num_estimators(self) -> int:
+        return self.engine.num_estimators
+
+    @property
+    def edges_seen(self) -> int:
+        return self.engine.edges_seen
+
+    def update(self, edge: tuple[int, int]) -> None:
+        self.update_batch([edge])
+
+    def update_batch(self, batch: Sequence[tuple[int, int]] | EdgeBatch) -> None:
+        self.engine.update_batch(batch)
+
+    def state_dict(self) -> dict:
+        return self.engine.state_dict()
+
+    def load_state_dict(self, state: dict) -> None:
+        self.engine.load_state_dict(state)
+
+    def merge(self, other: "PoolView") -> None:
+        """Absorb ``other``'s pool (same stream observed)."""
+        self.engine.merge(other.engine)

@@ -65,7 +65,9 @@ from .pipeline import (
     Pipeline,
     PipelineReport,
     PipelineSnapshot,
+    build_estimators,
     derive_seed,
+    shared_pools,
 )
 from .protocol import (
     BatchedEstimator,
@@ -138,6 +140,7 @@ __all__ = [
     "TransportFeed",
     "as_source",
     "batched_iter",
+    "build_estimators",
     "derive_seed",
     "derive_shard_seed",
     "faults",
@@ -149,6 +152,7 @@ __all__ = [
     "resolve_transport",
     "save_checkpoint",
     "shard_sizes",
+    "shared_pools",
     "shm_available",
     "source_fingerprint",
     "verify_resume_source",

@@ -274,10 +274,14 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             "match its manifest's token (a save raced this load, or the "
             "directory was edited); load it again"
         )
-    states = {
-        name: _decode(tree, arrays)
-        for name, tree in manifest["estimators"].items()
-    }
+    trees = manifest["estimators"]
+    try:
+        states = {name: _decode(tree, arrays) for name, tree in trees.items()}
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"checkpoint at {path!r}: arrays member {arrays_name!r} has no "
+            f"array {exc.args[0]!r}, which its manifest names"
+        ) from None
     return Checkpoint(
         edges_seen=int(manifest["edges_seen"]),
         batches=int(manifest.get("batches", 0)),

@@ -15,6 +15,10 @@ agnostic.
 Pool-size defaults are per spec: the vectorized estimators default to
 paper-scale pools, while the per-edge pure-Python ones (cliques,
 windows) default small enough to stay interactive.
+
+``count``, ``transitivity``, ``wedges`` and ``sample`` carry a
+``pool_rank``: at one pool size they share one pool
+(:func:`~repro.streaming.pipeline.build_estimators`).
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ def _count_report(counter) -> dict:
     "count",
     description="approximate triangle count (Theorem 3.3, vectorized engine)",
     default_estimators=100_000,
+    pool_rank=0,
 )
 @reports(_count_report)
-def _make_count(num_estimators: int, seed: int | None, *, engine: str = "vectorized"):
+def _make_count(
+    num_estimators: int, seed: int | None, *, engine: str = "vectorized", pool=None
+):
     from ..core.triangle_count import TriangleCounter
 
-    return TriangleCounter(num_estimators, engine=engine, seed=seed)
+    return TriangleCounter(num_estimators, engine=engine, seed=seed, pool=pool)
 
 
 def _transitivity_report(est) -> dict:
@@ -64,23 +71,25 @@ def _transitivity_report(est) -> dict:
     "transitivity",
     description="transitivity coefficient kappa = 3*tau/zeta (Theorem 3.12)",
     default_estimators=100_000,
+    pool_rank=1,
 )
 @reports(_transitivity_report)
-def _make_transitivity(num_estimators: int, seed: int | None):
+def _make_transitivity(num_estimators: int, seed: int | None, *, pool=None):
     from ..core.transitivity import TransitivityEstimator
 
-    return TransitivityEstimator(num_estimators, seed=seed)
+    return TransitivityEstimator(num_estimators, seed=seed, pool=pool)
 
 
 @register_estimator(
     "wedges",
     description="approximate wedge count zeta (Lemma 3.11)",
     default_estimators=100_000,
+    pool_rank=2,
 )
-def _make_wedges(num_estimators: int, seed: int | None):
+def _make_wedges(num_estimators: int, seed: int | None, *, pool=None):
     from ..core.transitivity import WedgeCounter
 
-    return WedgeCounter(num_estimators, seed=seed)
+    return WedgeCounter(num_estimators, seed=seed, pool=pool)
 
 
 def _sample_report(sampler) -> dict:
@@ -103,12 +112,15 @@ def _sample_live_report(sampler) -> dict:
     "sample",
     description="uniform triangle sampling (Lemma 3.7 / Theorem 3.8)",
     default_estimators=50_000,
+    pool_rank=3,
 )
 @reports(_sample_report, live=_sample_live_report)
-def _make_sample(num_estimators: int, seed: int | None, *, max_degree: int | None = None):
+def _make_sample(
+    num_estimators: int, seed: int | None, *, max_degree: int | None = None, pool=None
+):
     from ..core.triangle_sample import TriangleSampler
 
-    return TriangleSampler(num_estimators, max_degree=max_degree, seed=seed)
+    return TriangleSampler(num_estimators, max_degree=max_degree, seed=seed, pool=pool)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ Estimators come either pre-built (any object satisfying
 the :data:`~repro.streaming.registry.ESTIMATORS` registry via
 :meth:`Pipeline.from_registry`. Per-estimator seeds are derived
 deterministically from the root seed and the estimator *name* (not the
-position), so a pipeline run is bit-identical to running each estimator
-alone with :func:`derive_seed`'s output -- the equivalence the test
-suite asserts.
+position). The neighborhood-sampling estimators (``count``,
+``transitivity``, ``wedges``, ``sample``) that ask for one pool size
+share one pool (:func:`build_estimators`), so the equivalence the test
+suite asserts holds per pool, not per name: a pool is bit-identical to
+the one its best-ranked member builds alone with :func:`derive_seed`'s
+output, and every other estimator is bit-identical to running alone.
 
 The estimators are query-at-any-time, and so is the pipeline:
 :meth:`Pipeline.snapshots` is the *live* surface -- a generator that
@@ -30,6 +33,7 @@ so the two are bit-identical by construction.
 from __future__ import annotations
 
 import os
+import pickle
 import signal as signal_module
 import time
 import warnings
@@ -54,7 +58,9 @@ from .source import EdgeSource, as_source
 
 __all__ = [
     "FanOut",
+    "build_estimators",
     "refuse_signed",
+    "shared_pools",
     "Pipeline",
     "PipelineReport",
     "PipelineSnapshot",
@@ -78,17 +84,78 @@ def derive_seed(seed: int | None, name: str) -> int | None:
     return int(entropy.generate_state(1, np.uint32)[0])
 
 
+def build_estimators(specs: Sequence[Mapping[str, Any]]) -> list[tuple[str, Any]]:
+    """Build registry estimators, one neighborhood-sampling pool per size.
+
+    ``specs`` holds one ``{"name", "num_estimators", "seed", "options"}``
+    plan per estimator (``num_estimators`` ``None``: the spec's default).
+    Specs with a ``pool_rank`` and one pool size share a pool: the
+    best-ranked builds it exactly as it would alone and the others read
+    it (Theorem 3.12's union bound needs no independence between them).
+    A build with no shareable engine (``count`` on another engine)
+    leaves the pool to the next rank. Returns pairs in ``specs`` order.
+    """
+    entries = [ESTIMATORS.get(spec["name"]) for spec in specs]
+    built: list[Any] = [None] * len(specs)
+    pools: dict[int, Any] = {}
+    by_rank = sorted(
+        range(len(specs)), key=lambda i: (entries[i].pool_rank is None, entries[i].pool_rank)
+    )
+    for i in by_rank:
+        spec, entry = specs[i], entries[i]
+        r = spec["num_estimators"]
+        r = entry.default_estimators if r is None else r
+        pool = pools.get(r) if entry.pool_rank is not None else None
+        built[i] = entry.create(r, spec["seed"], pool=pool, **spec["options"])
+        engine = getattr(built[i], "engine", None)
+        if entry.pool_rank is not None and pool is None and hasattr(engine, "share"):
+            pools[r] = engine
+    return [(spec["name"], est) for spec, est in zip(specs, built)]
+
+
+def shared_pools(pairs: Sequence[tuple[str, Any]]) -> dict[str, str]:
+    """``name -> first`` for each estimator reading an earlier one's pool.
+
+    ``first`` is the first of ``pairs`` with the same ``engine``. A
+    fan-out feeds it first, so its update time carries the pool's, and
+    merging its view merges the pool for the whole group.
+    """
+    first: dict[int, str] = {}
+    owners = {}
+    for name, est in pairs:
+        engine = getattr(est, "engine", None)
+        if engine is not None:
+            owner = first.setdefault(id(engine), name)
+            if owner != name:
+                owners[name] = owner
+    return owners
+
+
 @dataclass
 class EstimatorReport:
-    """One estimator's share of a pipeline run."""
+    """One estimator's share of a pipeline run.
+
+    ``pool`` names the estimator fed first from the pool this one reads,
+    whose ``seconds`` carry the pool's update time (``None``: no other's).
+    """
 
     name: str
     seconds: float
     results: dict[str, Any]
+    pool: str | None = None
 
     def render(self) -> str:
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in self.results.items())
-        return f"{self.name}: {parts} [{self.seconds:.3f}s]"
+        return f"{self.name}: {parts} [{self.seconds:.3f}s]{self._pool_tag()}"
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "seconds": self.seconds, "results": self.results}
+        if self.pool is not None:
+            out["pool"] = self.pool
+        return out
+
+    def _pool_tag(self) -> str:
+        return "" if self.pool is None else f" [pool: {self.pool}]"
 
 
 @dataclass
@@ -131,10 +198,7 @@ class PipelineReport:
             "batches": self.batches,
             "seconds": self.seconds,
             "io_seconds": self.io_seconds,
-            "estimators": [
-                {"name": r.name, "seconds": r.seconds, "results": r.results}
-                for r in self.estimators
-            ],
+            "estimators": [r.to_dict() for r in self.estimators],
         }
 
 
@@ -178,6 +242,7 @@ class PipelineSnapshot(PipelineReport):
         parts = "; ".join(
             f"{r.name}: "
             + ", ".join(f"{k}={_fmt(v)}" for k, v in r.results.items())
+            + r._pool_tag()
             for r in self.estimators
         )
         journal = ""
@@ -309,6 +374,7 @@ class Pipeline:
         if len(set(names)) != len(names):
             raise InvalidParameterError(f"duplicate estimator names: {names}")
         self._pairs = pairs
+        self._pool_of = shared_pools(pairs)
         self._reporters = dict(reporters or {})
         self._live_reporters = dict(live_reporters or {})
         self._resume: Checkpoint | None = None
@@ -341,20 +407,23 @@ class Pipeline:
             Pool size for every estimator; ``None`` uses each spec's
             own default.
         seed:
-            Root seed; each estimator gets ``derive_seed(seed, name)``.
+            Root seed; each estimator gets ``derive_seed(seed, name)``
+            (a shared pool its builder's; see :func:`build_estimators`).
         options:
             Per-name factory keyword overrides, e.g.
             ``{"sliding-window": {"window": 10_000}}``.
         """
         options = options or {}
-        pairs = []
-        for name in names:
-            spec = ESTIMATORS.get(name)
-            estimator = spec.create(
-                num_estimators, derive_seed(seed, name), **options.get(name, {})
+        plan = [
+            dict(
+                name=name,
+                num_estimators=num_estimators,
+                seed=derive_seed(seed, name),
+                options=options.get(name, {}),
             )
-            pairs.append((name, estimator))
-        return cls(pairs)
+            for name in names
+        ]
+        return cls(build_estimators(plan))
 
     @property
     def names(self) -> list[str]:
@@ -408,6 +477,10 @@ class Pipeline:
         The pipeline must have been built with the same estimator names
         (e.g. the same :meth:`from_registry` call); each estimator
         adopts its checkpointed state -- including the generator state.
+        Estimators that read one pool must find one pool state under
+        their names; a checkpoint holding different ones (written when
+        they ran separate pools) raises
+        :class:`~repro.errors.InvalidParameterError`.
         The next :meth:`run` automatically skips the ``edges_seen``
         edges the checkpoint already consumed (the source must replay
         the same stream; a recorded fingerprint is verified against it)
@@ -439,7 +512,15 @@ class Pipeline:
                     f"estimator {name!r} does not support load_state_dict(); "
                     "it cannot be resumed"
                 )
+            owner = self._pool_of.get(name)
+            before = pickle.dumps(estimator.engine.state_dict()) if owner else None
             op(ckpt.states[name])
+            if before and before != pickle.dumps(estimator.engine.state_dict()):
+                raise InvalidParameterError(
+                    f"checkpoint at {os.fspath(path)!r} holds different pool "
+                    f"states for {owner!r} and {name!r}, which now read one "
+                    "pool; it was written when they ran separate pools"
+                )
         self._resume = ckpt
         self._resume_path = path
         self._resume_poisoned = False
@@ -821,6 +902,7 @@ class Pipeline:
                         name=name,
                         seconds=fanout.timings[name],
                         results=self._reporter_for(name, live=not final)(estimator),
+                        pool=self._pool_of.get(name),
                     )
                     for name, estimator in self._pairs
                 ],

@@ -144,6 +144,10 @@ class EstimatorSpec:
     options:
         Extra keyword defaults forwarded to ``factory`` (e.g. a window
         length); callers may override them per run.
+    pool_rank:
+        Set on estimators whose factory can read another's pool (a
+        keyword-only ``pool``, not an option); at one pool size the
+        lowest rank builds the pool. ``None`` never shares.
     """
 
     name: str
@@ -153,27 +157,36 @@ class EstimatorSpec:
     default_estimators: int = 10_000
     options: dict = field(default_factory=dict)
     live_report: Callable[[Any], dict] | None = None
+    pool_rank: int | None = None
 
     def create(
-        self, num_estimators: int | None = None, seed: int | None = None, **overrides
+        self,
+        num_estimators: int | None = None,
+        seed: int | None = None,
+        *,
+        pool: Any = None,
+        **overrides,
     ) -> Any:
         """Instantiate the estimator with spec defaults applied.
 
-        An option the factory does not accept raises
+        ``pool`` hands a ``pool_rank`` spec another estimator's engine
+        to read. An option the factory does not accept raises
         :class:`~repro.errors.InvalidParameterError` listing the valid ones.
         """
         kwargs = dict(self.options)
         kwargs.update(overrides)
         r = self.default_estimators if num_estimators is None else num_estimators
         try:
+            if pool is not None:
+                return self.factory(r, seed, pool=pool, **kwargs)
             return self.factory(r, seed, **kwargs)
         except TypeError:
             # Checked only on failure, so building a pipeline pays nothing.
             params = list(inspect.signature(self.factory).parameters.values())[2:]
-            valid = [p.name for p in params if p.kind is not p.VAR_KEYWORD]
+            valid = [p.name for p in params if p.name != "pool"]
             unknown = sorted(set(kwargs) - set(valid))
-            if not unknown or len(valid) < len(params):  # **options takes all
-                raise
+            if not unknown or any(p.kind is p.VAR_KEYWORD for p in params):
+                raise  # a real TypeError, or **options takes all
             raise InvalidParameterError(
                 f"estimator {self.name!r} has no option(s) {unknown}; "
                 f"valid options: {valid or 'none'}"
@@ -194,6 +207,7 @@ def register_estimator(
     *,
     description: str = "",
     default_estimators: int = 10_000,
+    pool_rank: int | None = None,
     **options,
 ) -> Callable[[Callable], Callable]:
     """Decorator registering an estimator factory under ``name``.
@@ -217,6 +231,7 @@ def register_estimator(
                 default_estimators=default_estimators,
                 options=dict(options),
                 live_report=getattr(factory, "live_reporter", None),
+                pool_rank=pool_rank,
             ),
         )
         return factory

@@ -294,7 +294,7 @@ class ShardedPipeline:
             journal_max_segment=journal_max_segment,
         )
         self.last_restarts = run.restarts
-        worker_states = [states for states, _ in run.finals]
+        worker_states = [final[0] for final in run.finals]
         merged_pairs = self._merge_states(worker_states)
         self._merged = merged_pairs
         report = PipelineReport(
@@ -308,10 +308,13 @@ class ShardedPipeline:
                 ESTIMATORS.get(name).report if name in ESTIMATORS else _default_report
             )
             # The parallel wall-clock share: the slowest worker's time.
-            seconds = max(timings.get(name, 0.0) for _, timings in run.finals)
+            seconds = max(final[1].get(name, 0.0) for final in run.finals)
             report.estimators.append(
                 EstimatorReport(
-                    name=name, seconds=seconds, results=reporter(estimator)
+                    name=name,
+                    seconds=seconds,
+                    results=reporter(estimator),
+                    pool=run.finals[0][2].get(name),
                 )
             )
         return report

@@ -74,8 +74,7 @@ from ..errors import (
 from . import faults as faults_module
 from .batch import EdgeBatch
 from .journal import DEFAULT_SEGMENT_BYTES, JournalWriter, journal_records
-from .pipeline import FanOut
-from .registry import ESTIMATORS
+from .pipeline import FanOut, build_estimators, shared_pools
 from .shm import BatchSender, TransportFeed, check_transport
 
 __all__ = [
@@ -154,27 +153,22 @@ class EstimatorShardProgram:
     dict per pool (see
     :meth:`~repro.streaming.sharded.ShardedPipeline.worker_specs`).
     :meth:`build` constructs fresh state deterministically from it (so
-    a respawn before the first snapshot needs no restore at all) and
-    exposes the built ``(name, estimator)`` :attr:`pairs`;
+    a respawn before the first snapshot needs no restore at all), through
+    the same :func:`~repro.streaming.pipeline.build_estimators` as a
+    single-process pipeline (so shards of one pool size share a pool),
+    and exposes the built ``(name, estimator)`` :attr:`pairs`;
     :meth:`consume` feeds one batch through the shared
     :class:`~repro.streaming.pipeline.FanOut`; :meth:`state`/:meth:`load`
-    snapshot and restore; :meth:`finish` returns ``(states, timings)``
-    for the parent to merge.
+    snapshot and restore; :meth:`finish` returns ``(states, timings,
+    pools)`` for the parent to merge and report (``pools`` is
+    :func:`~repro.streaming.pipeline.shared_pools` of the shard).
     """
 
     def __init__(self, specs) -> None:
         self.specs = [dict(spec) for spec in specs]
 
     def build(self) -> None:
-        self.pairs = [
-            (
-                spec["name"],
-                ESTIMATORS.get(spec["name"]).create(
-                    spec["num_estimators"], spec["seed"], **spec["options"]
-                ),
-            )
-            for spec in self.specs
-        ]
+        self.pairs = build_estimators(self.specs)
         self._fanout = FanOut(self.pairs)
 
     def consume(self, batch) -> None:
@@ -188,7 +182,7 @@ class EstimatorShardProgram:
             est.load_state_dict(state[name])
 
     def finish(self):
-        return (self.state(), dict(self._fanout.timings))
+        return (self.state(), dict(self._fanout.timings), shared_pools(self.pairs))
 
 
 @dataclass

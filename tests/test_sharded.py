@@ -22,6 +22,7 @@ from repro.streaming import (
     ShardedPipeline,
     derive_shard_seed,
     shard_sizes,
+    shared_pools,
 )
 from repro.streaming.batch import EdgeBatch
 from repro.streaming.source import EdgeSource, as_source
@@ -60,15 +61,17 @@ def _simulate(sharded: ShardedPipeline, arr, batch_size):
         program.build()
         for batch in as_source(arr).batches(batch_size):
             program.consume(batch)
-        per_worker.append(dict(program.pairs))
+        per_worker.append((dict(program.pairs), shared_pools(program.pairs)))
     merged = {}
     for name in sharded.names:
-        for worker in per_worker:
+        for worker, readers in per_worker:
             if name not in worker:
                 continue
             if name not in merged:
                 merged[name] = worker[name]
-            else:
+            elif name not in readers:
+                # A worker's views of one pool merge once, through the
+                # first of them; the rest read the merged pool.
                 merged[name].merge(worker[name])
     return merged
 
@@ -143,6 +146,25 @@ class TestExecution:
         for name in NAMES:
             expected = ESTIMATORS.get(name).report(merged[name])
             assert report[name].results == expected, name
+        assert report["transitivity"].pool == report["sample"].pool == "count"
+        assert report["count"].pool is None and report["exact"].pool is None
+
+    def test_workers_build_one_pool_per_size(self):
+        """Each worker's shards of count, transitivity and sample read
+        one pool, so merging them in process merges it once."""
+        sharded = ShardedPipeline(
+            NAMES, workers=2, num_estimators=16, seed=7, options=OPTIONS
+        )
+        for specs in sharded.worker_specs():
+            program = EstimatorShardProgram(specs)
+            program.build()
+            pairs = dict(program.pairs)
+            for name in ("transitivity", "sample"):
+                assert pairs[name].engine is pairs["count"].engine, name
+            assert shared_pools(program.pairs) == {
+                "transitivity": "count",
+                "sample": "count",
+            }
 
     def test_sharded_run_is_reproducible(self, stream_array):
         results = []

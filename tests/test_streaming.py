@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from repro.core.transitivity import TransitivityEstimator, WedgeCounter
+from repro.core.vectorized import VectorizedTriangleCounter
 from repro.errors import InvalidParameterError, SourceExhaustedError, VertexIdError
 from repro.experiments.harness import stream_through
 from repro.generators import holme_kim
@@ -20,8 +22,11 @@ from repro.streaming import (
     StreamingEstimator,
     as_source,
     batched_iter,
+    build_estimators,
     derive_seed,
+    load_checkpoint,
 )
+from repro.streaming.batch import EdgeBatch
 from repro.streaming.registry import EstimatorSpec
 
 EDGES = holme_kim(250, 3, 0.5, seed=4)
@@ -198,6 +203,16 @@ class _ListSource(EdgeSource):
         return batched_iter(self.edges, batch_size)
 
 
+class _RepeatSource(EdgeSource):
+    """A source that yields one batch object ``times`` times."""
+
+    def __init__(self, batch, times):
+        self.batch, self.times = batch, times
+
+    def batches(self, batch_size):
+        return iter([self.batch] * self.times)
+
+
 class TestBatchContract:
     """Past the source boundary every batch is an EdgeBatch, so every
     entry point applies EdgeBatch.from_edges's contract."""
@@ -240,16 +255,24 @@ class TestPipeline:
     NAMES = ["count", "transitivity", "wedges", "exact"]
 
     def test_fanout_matches_independent_passes(self):
-        """One shared pass must be bit-identical to one pass per
-        estimator with the same derived seeds."""
+        """Co-run equals standalone per pool: ``count`` is bit-identical
+        to running alone, ``transitivity`` and ``wedges`` read the pool
+        ``count`` builds alone, and ``exact`` runs as it would alone."""
         fanout = Pipeline.from_registry(self.NAMES, num_estimators=512, seed=9)
         report = fanout.run(EDGES, batch_size=128)
 
+        alone = {
+            name: ESTIMATORS.get(name).create(512, derive_seed(9, name))
+            for name in ("count", "exact")
+        }
+        pool = alone["count"].engine
+        alone["transitivity"] = TransitivityEstimator(512, pool=pool)
+        alone["wedges"] = WedgeCounter(512, pool=pool)
+        stream_through(alone["count"], EDGES, 128)
+        stream_through(alone["exact"], EDGES, 128)
         for name in self.NAMES:
             spec = ESTIMATORS.get(name)
-            alone = spec.create(512, derive_seed(9, name))
-            stream_through(alone, EDGES, 128)
-            assert spec.report(alone) == report[name].results, name
+            assert spec.report(alone[name]) == report[name].results, name
 
     def test_file_and_memory_sources_agree_bit_for_bit(self, graph_file):
         def seeded():
@@ -303,6 +326,163 @@ class TestPipeline:
         with pytest.raises(InvalidParameterError):
             Pipeline([("a", ExactStreamingCounter()),
                       ("a", ExactStreamingCounter())])
+
+
+class TestSharedPools:
+    """One neighborhood-sampling pool per pool size, whoever asks."""
+
+    NAMES = ["count", "transitivity", "wedges"]
+
+    def _same(self, a, b):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], dict) or not hasattr(a[key], "shape"):
+                assert a[key] == b[key], key
+            else:
+                assert (a[key] == b[key]).all(), key
+
+    def test_pool_builds_once_for_its_members(self):
+        pipe = Pipeline.from_registry(
+            ["count", "transitivity", "wedges", "sample", "exact"],
+            num_estimators=64,
+            seed=2,
+        )
+        engine = pipe.estimator("count").engine
+        for name in ("transitivity", "wedges", "sample"):
+            assert pipe.estimator(name).engine is engine, name
+        pipe.run(EDGES, batch_size=100)
+        assert engine.edges_seen == len(EDGES)
+
+    def test_requested_order_does_not_matter(self):
+        runs = [
+            Pipeline.from_registry(names, num_estimators=128, seed=4).run(
+                EDGES, batch_size=64
+            )
+            for names in (["count", "transitivity"], ["transitivity", "count"])
+        ]
+        for name in ("count", "transitivity"):
+            assert runs[0][name].results == runs[1][name].results, name
+
+    def test_unequal_pool_sizes_build_separate_pools(self):
+        def plan(name, r):
+            return {
+                "name": name,
+                "num_estimators": r,
+                "seed": derive_seed(5, name),
+                "options": {},
+            }
+
+        pairs = dict(build_estimators([plan("count", 64), plan("transitivity", 32)]))
+        assert pairs["transitivity"].engine is not pairs["count"].engine
+        Pipeline(list(pairs.items())).run(EDGES, batch_size=100)
+        alone = TransitivityEstimator(32, seed=derive_seed(5, "transitivity"))
+        stream_through(alone, EDGES, 100)
+        self._same(alone.state_dict(), pairs["transitivity"].state_dict())
+
+    def test_count_on_another_engine_leaves_the_pool_to_the_next_rank(self):
+        pipe = Pipeline.from_registry(
+            ["count", "transitivity", "wedges"],
+            num_estimators=32,
+            seed=6,
+            options={"count": {"engine": "bulk"}},
+        )
+        assert not isinstance(pipe.estimator("count").engine, VectorizedTriangleCounter)
+        assert pipe.estimator("wedges").engine is pipe.estimator("transitivity").engine
+        report = pipe.run(EDGES, batch_size=100)
+        alone = TransitivityEstimator(32, seed=derive_seed(6, "transitivity"))
+        stream_through(alone, EDGES, 100)
+        assert report["transitivity"].results == ESTIMATORS.get("transitivity").report(alone)
+
+    def test_rebuilt_pipeline_stays_shared_and_bit_identical(self):
+        """``Pipeline(pipe._pairs)`` with every update wrapped (a
+        tracer's rebuild) advances the pool once per batch."""
+        expected = Pipeline.from_registry(self.NAMES, num_estimators=256, seed=8).run(
+            EDGES, batch_size=64
+        )
+        pipe = Pipeline.from_registry(self.NAMES, num_estimators=256, seed=8)
+        calls = []
+        for name in self.NAMES:
+            est = pipe.estimator(name)
+            inner = est.update_batch
+
+            def wrapped(batch, _inner=inner, _name=name):
+                calls.append(_name)
+                return _inner(batch)
+
+            est.update_batch = wrapped
+        got = Pipeline(pipe._pairs).run(EDGES, batch_size=64)
+        batches = -(-len(EDGES) // 64)
+        assert len(calls) == 3 * batches
+        for name in self.NAMES:
+            assert got[name].results == expected[name].results, name
+        alone = VectorizedTriangleCounter(256, seed=derive_seed(8, "count"))
+        stream_through(alone, EDGES, 64)
+        self._same(alone.state_dict(), pipe.estimator("count").state_dict())
+
+    def test_repeated_batch_object_advances_the_pool_each_time(self):
+        batch = EdgeBatch.from_edges(EDGES)
+        pipe = Pipeline.from_registry(["count", "transitivity"], num_estimators=64, seed=7)
+        pipe.run(_RepeatSource(batch, 3), batch_size=len(EDGES))
+        alone = VectorizedTriangleCounter(64, seed=derive_seed(7, "count"))
+        for _ in range(3):
+            alone.update_batch(batch)
+        assert pipe.estimator("transitivity").edges_seen == 3 * len(EDGES)
+        self._same(alone.state_dict(), pipe.estimator("count").state_dict())
+
+    def test_report_names_the_member_that_paid(self):
+        pipe = Pipeline.from_registry(
+            ["count", "exact", "transitivity"], num_estimators=32, seed=1
+        )
+        snapshot = list(pipe.snapshots(EDGES, batch_size=100))[-1]
+        payload = snapshot.to_dict()["estimators"]
+        assert "pool" not in payload[0] and "pool" not in payload[1]
+        assert payload[2]["pool"] == "count"
+        assert "[pool: count]" in snapshot.render_line()
+        lines = pipe.run(EDGES, batch_size=100).render().splitlines()
+        assert lines[-1].startswith("  transitivity:")
+        assert lines[-1].endswith("[pool: count]")
+        assert "[pool" not in lines[-2] and "[pool" not in lines[-3]
+
+    def test_kill_and_resume_stays_bit_identical(self, tmp_path):
+        def fresh():
+            return Pipeline.from_registry(self.NAMES, num_estimators=128, seed=3)
+
+        ckpt = tmp_path / "ck"
+        killed = fresh().snapshots(
+            EDGES, batch_size=64, checkpoint_path=ckpt, checkpoint_every=4
+        )
+        for _ in range(6):
+            next(killed)
+        killed.close()
+        assert load_checkpoint(ckpt).edges_seen == 4 * 64
+        resumed = fresh().resume(ckpt).run(EDGES, batch_size=64)
+        uninterrupted = fresh().run(EDGES, batch_size=64)
+        for name in self.NAMES:
+            assert resumed[name].results == uninterrupted[name].results, name
+
+    def test_checkpoint_of_separate_pools_is_a_named_error(self, tmp_path):
+        """A co-run checkpoint written when each name held its own pool
+        cannot resume into one pool: no state would be the right one."""
+        separate = Pipeline(
+            [
+                ("count", ESTIMATORS.get("count").create(64, 1)),
+                ("transitivity", ESTIMATORS.get("transitivity").create(64, 2)),
+            ]
+        )
+        separate.run(EDGES, batch_size=100, checkpoint_path=tmp_path / "ck")
+        shared = Pipeline.from_registry(
+            ["count", "transitivity"], num_estimators=64, seed=0
+        )
+        with pytest.raises(InvalidParameterError, match="separate pools"):
+            shared.resume(tmp_path / "ck")
+
+    def test_checkpoint_holds_one_state_per_name(self, tmp_path):
+        pipe = Pipeline.from_registry(self.NAMES, num_estimators=64, seed=0)
+        pipe.run(EDGES, batch_size=100, checkpoint_path=tmp_path / "ck")
+        states = load_checkpoint(tmp_path / "ck").states
+        assert sorted(states) == sorted(self.NAMES)
+        for name in self.NAMES:
+            self._same(pipe.estimator("count").state_dict(), states[name])
 
 
 def _exact_count() -> int:

@@ -351,6 +351,16 @@ class TestFormat:
             load_checkpoint(ck)
         assert str(ck) in str(info.value)
 
+    def test_manifest_naming_a_missing_array_is_a_named_error(self, tmp_path):
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, {"x": {"a": np.arange(4)}}, edges_seen=1)
+        manifest = _manifest(ck)
+        manifest["estimators"]["x"]["a"]["__array__"] = "x/zzz"
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidParameterError, match="x/zzz") as info:
+            load_checkpoint(ck)
+        assert str(ck) in str(info.value)
+
     def test_codec_round_trips_every_dtype(self, tmp_path):
         state = {
             "wide": np.array([2**31, -(2**31) - 1, 0], dtype=np.int64),

@@ -9,6 +9,7 @@ from repro.core.vectorized import VectorizedTriangleCounter
 from repro.errors import EmptyStreamError, InvalidParameterError
 from repro.exact import count_triangles, count_wedges, transitivity_coefficient
 from repro.generators import complete_graph, holme_kim, star_graph
+from repro.streaming import Pipeline
 from repro.streaming.batch import EdgeBatch
 from tests.conftest import assert_mean_close
 
@@ -120,6 +121,7 @@ class TestTransitivityAccuracy:
         edges = holme_kim(3000, 4, 0.4, seed=5)
         batch = EdgeBatch.from_edges(edges)
         one, two = np.empty((self.K, 2)), np.empty((self.K, 2))
+        corun = np.empty((self.K, 2))
         for s in range(self.K):
             est = TransitivityEstimator(self.R, seed=s)
             est.update_batch(batch)
@@ -127,15 +129,49 @@ class TestTransitivityAccuracy:
             wedge_pool.update_batch(batch)
             one[s] = est.triangle_estimate(), est.wedge_estimate()
             two[s] = one[s, 0], wedge_pool.wedge_estimates().mean()
-        return count_triangles(edges), count_wedges(edges), one, two
+            # Co-run: transitivity reads the pool count builds.
+            report = Pipeline.from_registry(
+                ["count", "transitivity"], num_estimators=self.R, seed=s
+            ).run(batch, batch_size=len(batch))
+            corun[s] = (
+                report["count"].results["triangles"],
+                report["transitivity"].results["wedges"],
+            )
+            assert report["transitivity"].results["triangles"] == corun[s, 0]
+        return count_triangles(edges), count_wedges(edges), one, two, corun
 
     def test_tau_and_zeta_unbiased(self, draws):
-        tau, zeta, one, _ = draws
+        tau, zeta, one, _, _ = draws
         z = (one.mean(axis=0) - [tau, zeta]) / (one.std(axis=0, ddof=1) / np.sqrt(self.K))
         assert np.all(np.abs(z) <= 4.0), f"bias z-scores (tau', zeta') = {z}"
 
     def test_kappa_variance_no_worse_than_two_pools(self, draws):
-        _, _, one, two = draws
+        _, _, one, two, _ = draws
         var_one = np.var(3 * one[:, 0] / one[:, 1], ddof=1)
         var_two = np.var(3 * two[:, 0] / two[:, 1], ddof=1)
         assert var_one <= 1.1 * var_two, f"var(kappa') {var_one:.3g} vs two pools {var_two:.3g}"
+
+    def test_corun_tau_unbiased(self, draws):
+        """Theorem 3.3 holds for co-run count: its tau' is unbiased."""
+        tau, _, _, _, corun = draws
+        z = (corun[:, 0].mean() - tau) / (corun[:, 0].std(ddof=1) / np.sqrt(self.K))
+        assert abs(z) <= 4.0, f"co-run tau' bias z-score {z:.2f}"
+
+    def test_corun_kappa_variance_no_worse_than_standalone(self, draws):
+        """Theorem 3.12 holds for co-run transitivity: reading count's
+        pool leaves var(kappa') where the standalone estimator has it.
+
+        The two legs run on independent pools (seeds ``2s`` against
+        ``derive_seed(s, "count")``), so their sample variances differ
+        by chance alone: the log of the ratio has standard deviation
+        about ``2 / sqrt(K - 1)``, 0.14 at K=200. The bound is that
+        noise at the 4-sigma level the bias legs use, not the 1.1x that
+        fits the paired one-pool/two-pool comparison above.
+        """
+        _, _, one, _, corun = draws
+        var_one = np.var(3 * one[:, 0] / one[:, 1], ddof=1)
+        var_corun = np.var(3 * corun[:, 0] / corun[:, 1], ddof=1)
+        bound = np.exp(4.0 * 2.0 / np.sqrt(self.K - 1))
+        assert var_corun <= bound * var_one, (
+            f"var(kappa') co-run {var_corun:.3g} vs standalone {var_one:.3g}"
+        )
